@@ -8,7 +8,7 @@ use dfs::experiment::{Experiment, Policy};
 use dfs::mapreduce::MapLocality;
 use dfs::presets;
 use dfs::simkit::report::Table;
-use dfs::sweep::sweep_seeds_vec;
+use sweep::sweep_seeds;
 
 use crate::seeds;
 
@@ -34,7 +34,7 @@ const VARIANTS: [(&str, Policy); 5] = [
 
 fn run_cluster(label: &str, exp: &Experiment, table: &mut Table) {
     let n = seeds();
-    let sweeps = sweep_seeds_vec(n, |seed| {
+    let sweeps = sweep_seeds(n, |seed| {
         let normal = exp.run_normal_mode(seed).ok()?;
         let base = normal.jobs[0].runtime().as_secs_f64();
         let mut row = Vec::new();
@@ -49,7 +49,8 @@ fn run_cluster(label: &str, exp: &Experiment, table: &mut Table) {
             row.push(reads.iter().sum::<f64>() / reads.len().max(1) as f64);
         }
         Some(row)
-    });
+    })
+    .expect("sweep produced no samples");
     let lf_runtime = sweeps[0].mean();
     for (i, (name, _)) in VARIANTS.iter().enumerate() {
         let runtime = sweeps[i * 3].mean();

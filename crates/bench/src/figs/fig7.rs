@@ -12,8 +12,8 @@ use dfs::experiment::{Experiment, FailureSpec, Policy};
 use dfs::presets::{self, MBPS};
 use dfs::simkit::report::Table;
 use dfs::simkit::SimRng;
-use dfs::sweep::sweep_seeds_vec;
 use dfs::workloads::multi_job_workload;
+use sweep::sweep_seeds;
 
 use crate::{boxplot_table, compare_policies, lf_edf, seeds};
 
@@ -126,7 +126,7 @@ pub fn panel_f() {
     const JOBS: usize = 10;
     let base = presets::simulation_default();
     let n = seeds();
-    let sweeps = sweep_seeds_vec(n, |seed| {
+    let sweeps = sweep_seeds(n, |seed| {
         let mut exp = base.clone();
         let mut rng = SimRng::seed_from_u64(seed ^ 0x6a6f_6273);
         exp.jobs = multi_job_workload(&mut rng, JOBS, 120.0).expect("valid workload parameters");
@@ -137,7 +137,8 @@ pub fn panel_f() {
         let mut row = lf;
         row.extend(edf);
         Some(row)
-    });
+    })
+    .expect("sweep produced no samples");
     let (lf, edf) = sweeps.split_at(JOBS);
     let mut rows = Vec::new();
     let mut reductions = Table::new(&["job", "mean EDF reduction vs LF"]);

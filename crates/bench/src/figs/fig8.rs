@@ -13,7 +13,7 @@ use dfs::experiment::{Experiment, Policy};
 use dfs::mapreduce::{MapLocality, RunResult};
 use dfs::presets;
 use dfs::simkit::report::Table;
-use dfs::sweep::sweep_seeds_vec;
+use sweep::sweep_seeds;
 
 use crate::seeds;
 
@@ -35,7 +35,7 @@ fn mean_degraded_read(result: &RunResult) -> f64 {
 /// Per-seed metric rows: for each policy, `(remote, read, runtime)`.
 fn collect(exp: &Experiment) -> Vec<Vec<(f64, f64, f64)>> {
     let n = seeds();
-    let triples = sweep_seeds_vec(n, |seed| {
+    let triples = sweep_seeds(n, |seed| {
         let mut row = Vec::new();
         for policy in POLICIES {
             let result = exp.run(policy, seed).ok()?;
@@ -44,7 +44,8 @@ fn collect(exp: &Experiment) -> Vec<Vec<(f64, f64, f64)>> {
             row.push(result.jobs[0].runtime().as_secs_f64());
         }
         Some(row)
-    });
+    })
+    .expect("sweep produced no samples");
     // Regroup flat sweeps into per-policy triples per seed.
     let samples = triples[0].samples.len();
     (0..samples)

@@ -13,8 +13,8 @@
 use dfs::experiment::Policy;
 use dfs::presets;
 use dfs::simkit::report::Table;
-use dfs::sweep::sweep_seeds_vec;
 use dfs::workloads::TestbedWorkload;
+use sweep::sweep_seeds;
 
 /// Runs per configuration; the paper's testbed numbers average 5 runs.
 fn runs() -> u64 {
@@ -37,14 +37,15 @@ pub fn panel_a() {
     ]);
     for workload in TestbedWorkload::ALL {
         let exp = presets::testbed(&[workload]);
-        let sweeps = sweep_seeds_vec(runs(), |seed| {
+        let sweeps = sweep_seeds(runs(), |seed| {
             let lf = exp.run(Policy::LocalityFirst, seed).ok()?;
             let edf = exp.run(Policy::EnhancedDegradedFirst, seed).ok()?;
             Some(vec![
                 lf.jobs[0].runtime().as_secs_f64(),
                 edf.jobs[0].runtime().as_secs_f64(),
             ])
-        });
+        })
+        .expect("sweep produced no samples");
         let (lf, edf) = (&sweeps[0], &sweeps[1]);
         let (ls, es) = (
             lf.summary().expect("finite runtimes"),
@@ -65,13 +66,14 @@ pub fn panel_a() {
 /// Figure 9(b): the three jobs submitted in a FIFO burst.
 pub fn panel_b() {
     let exp = presets::testbed(&TestbedWorkload::ALL);
-    let sweeps = sweep_seeds_vec(runs(), |seed| {
+    let sweeps = sweep_seeds(runs(), |seed| {
         let lf = exp.run(Policy::LocalityFirst, seed).ok()?;
         let edf = exp.run(Policy::EnhancedDegradedFirst, seed).ok()?;
         let mut row: Vec<f64> = lf.jobs.iter().map(|j| j.runtime().as_secs_f64()).collect();
         row.extend(edf.jobs.iter().map(|j| j.runtime().as_secs_f64()));
         Some(row)
-    });
+    })
+    .expect("sweep produced no samples");
     let (lf, edf) = sweeps.split_at(TestbedWorkload::ALL.len());
     let mut table = Table::new(&["job", "LF mean (s)", "EDF mean (s)", "reduction"]);
     for (i, workload) in TestbedWorkload::ALL.iter().enumerate() {

@@ -15,7 +15,7 @@
 use dfs::experiment::Policy;
 use dfs::presets;
 use dfs::simkit::report::Table;
-use dfs::sweep::sweep_seeds_vec;
+use sweep::sweep_seeds;
 
 fn seeds() -> u64 {
     std::env::var("DFS_SEEDS")
@@ -41,7 +41,7 @@ pub fn run() {
     ] {
         let mut exp = presets::simulation_default();
         exp.config.degraded_fetch_blocks = fetch;
-        let sweeps = sweep_seeds_vec(seeds(), |seed| {
+        let sweeps = sweep_seeds(seeds(), |seed| {
             let normal = exp.run_normal_mode(seed).ok()?;
             let base = normal.jobs[0].runtime().as_secs_f64();
             let lf = exp.run(Policy::LocalityFirst, seed).ok()?;
@@ -50,7 +50,8 @@ pub fn run() {
                 lf.jobs[0].runtime().as_secs_f64() / base,
                 edf.jobs[0].runtime().as_secs_f64() / base,
             ])
-        });
+        })
+        .expect("sweep produced no samples");
         let (lf, edf) = (&sweeps[0], &sweeps[1]);
         table.row(&[
             label.to_string(),

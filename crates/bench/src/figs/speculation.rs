@@ -10,7 +10,7 @@
 use dfs::experiment::Policy;
 use dfs::presets;
 use dfs::simkit::report::Table;
-use dfs::sweep::sweep_seeds_vec;
+use sweep::sweep_seeds;
 
 fn seeds() -> u64 {
     std::env::var("DFS_SEEDS")
@@ -33,13 +33,14 @@ pub fn run() {
     ] {
         let mut exp = presets::simulation_default();
         exp.config.speculative = speculative;
-        let sweeps = sweep_seeds_vec(seeds(), |seed| {
+        let sweeps = sweep_seeds(seeds(), |seed| {
             let normal = exp.run_normal_mode(seed).ok()?;
             let run = exp.run(policy, seed).ok()?;
             Some(vec![
                 run.jobs[0].runtime().as_secs_f64() / normal.jobs[0].runtime().as_secs_f64(),
             ])
-        });
+        })
+        .expect("sweep produced no samples");
         let mean = sweeps[0].mean();
         let vs = match lf_plain {
             None => {

@@ -9,8 +9,8 @@
 use dfs::experiment::Policy;
 use dfs::presets;
 use dfs::simkit::report::Table;
-use dfs::sweep::sweep_seeds_vec;
 use dfs::workloads::TestbedWorkload;
+use sweep::sweep_seeds;
 
 fn runs() -> u64 {
     std::env::var("DFS_SEEDS")
@@ -35,7 +35,7 @@ pub fn run() {
     let mut cells = [[[0.0f64; 3]; 2]; 3];
     for (w, workload) in TestbedWorkload::ALL.iter().enumerate() {
         let exp = presets::testbed(&[*workload]);
-        let sweeps = sweep_seeds_vec(runs(), |seed| {
+        let sweeps = sweep_seeds(runs(), |seed| {
             let mut row = Vec::new();
             for policy in [Policy::LocalityFirst, Policy::EnhancedDegradedFirst] {
                 let result = exp.run(policy, seed).ok()?;
@@ -44,7 +44,8 @@ pub fn run() {
                 row.push(result.mean_reduce_secs()?);
             }
             Some(row)
-        });
+        })
+        .expect("sweep produced no samples");
         for p in 0..2 {
             for t in 0..3 {
                 cells[w][p][t] = sweeps[p * 3 + t].mean();

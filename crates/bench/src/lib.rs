@@ -12,7 +12,7 @@
 
 use dfs::experiment::{Experiment, Policy};
 use dfs::simkit::report::Table;
-use dfs::sweep::{sweep_seeds, sweep_seeds_vec, SweepSummary};
+use sweep::{sweep_seeds, sweep_seeds_scalar, SweepSummary};
 
 pub mod figs;
 
@@ -32,7 +32,7 @@ pub fn seeds() -> u64 {
 /// shared across policies.
 pub fn compare_policies(exp: &Experiment, policies: &[Policy]) -> Vec<(String, SweepSummary)> {
     let n = seeds();
-    let sweeps = sweep_seeds_vec(n, |seed| {
+    let sweeps = sweep_seeds(n, |seed| {
         let normal = exp.run_normal_mode(seed).ok()?;
         let base = normal.jobs[0].runtime().as_secs_f64();
         let mut row = Vec::with_capacity(policies.len());
@@ -41,7 +41,8 @@ pub fn compare_policies(exp: &Experiment, policies: &[Policy]) -> Vec<(String, S
             row.push(result.jobs[0].runtime().as_secs_f64() / base);
         }
         Some(row)
-    });
+    })
+    .expect("sweep produced no samples");
     policies
         .iter()
         .zip(sweeps)
@@ -60,9 +61,10 @@ pub fn compare_policies_metric(
     policies
         .iter()
         .map(|&policy| {
-            let sweep = sweep_seeds(n, |seed| {
+            let sweep = sweep_seeds_scalar(n, |seed| {
                 exp.run(policy, seed).ok().and_then(|r| metric(&r))
-            });
+            })
+            .expect("sweep produced no samples");
             (policy.name().to_string(), sweep)
         })
         .collect()

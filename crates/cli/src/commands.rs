@@ -22,13 +22,12 @@ use dfs::obs::spill::{validate_spill, SpillConfig, SpillSink};
 use dfs::simkit::report::Table;
 use dfs::simkit::time::{SimDuration, SimTime};
 use dfs::simkit::SimRng;
-use dfs::sweep::sweep_seeds_vec;
 use dfs::textlab::{run_job, CorpusBuilder, Grep, LineCount, MiniGrid, WordCount};
 use dfs::workloads::{ArrivalTrace, TestbedWorkload};
 use sweep::{
     parse_code as parse_sweep_code, parse_policy as parse_sweep_policy, parse_spec_jsonl,
-    run_sweep as run_grid_sweep, trace_diff_scenario, FailureAxis as SweepFailureAxis, SweepBase,
-    SweepSpec, WorkloadAxis as SweepWorkloadAxis,
+    run_sweep as run_grid_sweep, sweep_seeds, trace_diff_scenario, FailureAxis as SweepFailureAxis,
+    SweepBase, SweepSpec, WorkloadAxis as SweepWorkloadAxis,
 };
 
 use crate::args::Args;
@@ -327,7 +326,7 @@ pub fn simulate(args: &Args) -> CliResult {
     }
     let exp = exp;
 
-    let sweeps = sweep_seeds_vec(seeds, |seed| {
+    let sweeps = sweep_seeds(seeds, |seed| {
         let normal = exp.run_normal_mode(seed).ok()?;
         let run = exp.run(policy, seed).ok()?;
         Some(vec![
@@ -339,7 +338,7 @@ pub fn simulate(args: &Args) -> CliResult {
                 reads.iter().sum::<f64>() / reads.len().max(1) as f64
             },
         ])
-    });
+    })?;
     let mut table = Table::new(&["metric", "mean", "min", "max"]);
     for (i, name) in [
         "runtime (s)",
@@ -845,14 +844,14 @@ pub fn testbed(args: &Args) -> CliResult {
     let mut table = Table::new(&["job", "LF mean (s)", "EDF mean (s)", "reduction"]);
     for w in workloads {
         let exp = dfs::presets::testbed(&[w]);
-        let sweeps = sweep_seeds_vec(runs, |seed| {
+        let sweeps = sweep_seeds(runs, |seed| {
             let lf = exp.run(Policy::LocalityFirst, seed).ok()?;
             let edf = exp.run(Policy::EnhancedDegradedFirst, seed).ok()?;
             Some(vec![
                 lf.jobs[0].runtime().as_secs_f64(),
                 edf.jobs[0].runtime().as_secs_f64(),
             ])
-        });
+        })?;
         table.row(&[
             w.name().to_string(),
             format!("{:.1}", sweeps[0].mean()),

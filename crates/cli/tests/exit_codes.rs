@@ -1,0 +1,32 @@
+//! Exit codes of the `dfs-cli` binary: bad input is a one-line error and
+//! exit status 1, never a panic (status 101).
+
+use std::process::{Command, Output};
+
+fn dfs_cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dfs-cli"))
+        .args(args)
+        .output()
+        .expect("dfs-cli runs")
+}
+
+/// Asserts a clean failure: status 1 and one `error:` line on stderr
+/// that mentions `needle`.
+fn assert_one_line_error(args: &[&str], needle: &str) {
+    let out = dfs_cli(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn simulate_with_zero_seeds_is_a_typed_error() {
+    assert_one_line_error(&["simulate", "--seeds", "0"], "at least one seed");
+}
+
+#[test]
+fn testbed_with_zero_runs_is_a_typed_error() {
+    assert_one_line_error(&["testbed", "--runs", "0"], "at least one seed");
+}

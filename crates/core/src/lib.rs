@@ -25,8 +25,9 @@
 //!   run it under any policy and any seed, normalized against normal
 //!   mode;
 //! * [`presets`] — the paper's configurations (simulation default,
-//!   heterogeneous, extreme case, 13-node testbed);
-//! * [`sweep`] — multi-seed parallel sampling with boxplot summaries.
+//!   heterogeneous, extreme case, 13-node testbed).
+//!
+//! Multi-seed sampling and grid sweeps live in the `sweep` crate.
 //!
 //! # Quickstart
 //!
@@ -44,10 +45,8 @@
 
 pub mod experiment;
 pub mod presets;
-pub mod sweep;
 
 pub use experiment::{Experiment, ExperimentError, FailureSpec, Policy};
-pub use sweep::{sweep_seeds, sweep_seeds_vec, SweepSummary};
 
 // Re-export the full stack for downstream users and the bench harness.
 pub use analysis;

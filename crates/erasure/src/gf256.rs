@@ -301,7 +301,7 @@ pub fn mul_acc_multi(dst: &mut [u8], terms: &[crate::simd::Term<'_>]) {
 /// Reference implementation of [`mul_acc_slice`] via log/antilog lookups
 /// with a per-byte zero test — the kernel this module shipped before the
 /// full product table. Retained as the oracle for property tests and the
-/// speedup baseline for `bench_snapshot`.
+/// SIMD kernel cross-checks.
 ///
 /// # Panics
 ///

@@ -2,8 +2,8 @@
 //!
 //! These are the PR 1 kernels verbatim: one branch-free lookup per byte
 //! in the 64 KiB product table, 8-way unrolled. They run on any target,
-//! serve as the tail handler for every SIMD tier, and remain the
-//! baseline that `bench_snapshot` compares the SIMD tiers against.
+//! serve as the tail handler for every SIMD tier, and are the tier
+//! `ERASURE_FORCE_SCALAR=1` pins the dispatcher to.
 
 use crate::gf256::{mul_row, Gf256};
 

@@ -7,7 +7,7 @@
 //! water-filling allocation: no flow can increase its rate without
 //! decreasing that of a flow with an equal or smaller rate.
 //!
-//! Three implementations live here:
+//! Two implementations live here:
 //!
 //! * [`FairshareWorkspace::compute_sparse`] — the production path: a
 //!   **bounded-recompute** allocator that touches only the links the
@@ -16,18 +16,13 @@
 //!   network has — the property that makes per-event reallocation
 //!   affordable on a 10,000-node topology, where a handful of flows
 //!   share a few dozen of the ~20,000 links.
-//! * [`FairshareWorkspace::compute`] — the dense workspace path:
-//!   scratch state lives in a reusable workspace and the freeze loop
-//!   walks per-link flow lists, but every round still scans all links.
-//!   Retained as the bit-identity anchor for the sparse path and as
-//!   the `bench_snapshot` baseline for the bounded-recompute speedup.
 //! * [`max_min_rates_ref`] — the straightforward textbook version this
 //!   module originally shipped, retained as the oracle.
 //!
-//! All three produce **bit-identical** rates: links with no unfrozen
-//! flow never contribute to a round's `best_share`, so restricting
-//! every scan to the active (path-referenced) links — enumerated in
-//! ascending link order, exactly as the dense scan visits them —
+//! Both produce **bit-identical** rates: links with no unfrozen flow
+//! never contribute to a round's `best_share`, so restricting every
+//! scan to the active (path-referenced) links — enumerated in ascending
+//! link order, exactly as the reference's dense scan visits them —
 //! reproduces the same freeze rounds, the same `best_share` every
 //! round, and hence the same clamped subtraction sequence per link.
 
@@ -38,13 +33,13 @@
 ///   loopback flow, which gets `f64::INFINITY`).
 ///
 /// Returns one rate per flow, in bits/second. Convenience wrapper over
-/// [`FairshareWorkspace::compute`] for one-shot callers; event loops
-/// should hold a workspace to amortize the scratch allocations.
+/// [`FairshareWorkspace::compute_sparse`] for one-shot callers; event
+/// loops should hold a workspace to amortize the scratch allocations.
 ///
 /// # Panics
 ///
-/// Panics if a path references an unknown link or a capacity is not
-/// positive.
+/// Panics if a path references an unknown link or the capacity of a
+/// referenced link is not positive and finite.
 pub fn max_min_rates(capacities: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
     let mut ws = FairshareWorkspace::new();
     let mut rates = Vec::new();
@@ -56,13 +51,13 @@ pub fn max_min_rates(capacities: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
                 .collect()
         })
         .collect();
-    ws.compute(capacities, &paths32, &mut rates);
+    ws.compute_sparse(capacities, &paths32, &mut rates);
     rates
 }
 
-/// Scratch state for [`FairshareWorkspace::compute`]. Create once, reuse
-/// for every allocation; all internal buffers retain their capacity
-/// between calls, so a warm workspace allocates nothing.
+/// Scratch state for [`FairshareWorkspace::compute_sparse`]. Create
+/// once, reuse for every allocation; all internal buffers retain their
+/// capacity between calls, so a warm workspace allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct FairshareWorkspace {
     /// Remaining capacity per link.
@@ -97,138 +92,9 @@ impl FairshareWorkspace {
         FairshareWorkspace::default()
     }
 
-    /// Computes max-min fair rates into `rates` (cleared and resized to
-    /// one entry per flow). Semantics — including every floating-point
-    /// result — match [`max_min_rates_ref`]; see the module docs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a path references an unknown link or a capacity is not
-    /// positive.
-    pub fn compute<I>(&mut self, capacities: &[f64], paths: I, rates: &mut Vec<f64>)
-    where
-        I: IntoIterator,
-        I::Item: AsRef<[u32]>,
-    {
-        assert!(
-            capacities.iter().all(|&c| c > 0.0 && c.is_finite()),
-            "link capacities must be positive and finite"
-        );
-        let num_links = capacities.len();
-
-        rates.clear();
-        self.remaining.clear();
-        self.remaining.extend_from_slice(capacities);
-        self.load.clear();
-        self.load.resize(num_links, 0);
-        self.frozen.clear();
-
-        // Pass 1: copy paths into the flow CSR (the only look at the
-        // caller's paths), count link loads, and freeze loopback
-        // (empty-path) flows at infinity.
-        self.path_off.clear();
-        self.path_flat.clear();
-        self.path_off.push(0);
-        let mut unfrozen_left = 0usize;
-        for path in paths {
-            let path = path.as_ref();
-            for &l in path {
-                assert!((l as usize) < num_links, "path references unknown link {l}");
-                self.load[l as usize] += 1;
-                self.path_flat.push(l);
-            }
-            self.path_off.push(self.path_flat.len() as u32);
-            if path.is_empty() {
-                rates.push(f64::INFINITY);
-                self.frozen.push(true);
-            } else {
-                rates.push(0.0);
-                self.frozen.push(false);
-                unfrozen_left += 1;
-            }
-        }
-        let num_flows = rates.len();
-
-        // Pass 2: invert into the link CSR by counting sort, so the
-        // freeze loop can enumerate exactly the flows crossing a
-        // bottleneck link (in ascending flow order).
-        self.link_off.clear();
-        self.link_off.resize(num_links + 1, 0);
-        for &l in &self.path_flat {
-            self.link_off[l as usize + 1] += 1;
-        }
-        for l in 0..num_links {
-            self.link_off[l + 1] += self.link_off[l];
-        }
-        self.link_flows.clear();
-        self.link_flows.resize(self.path_flat.len(), 0);
-        {
-            // `load` already holds the final counts; use a scratch cursor
-            // per link inside round_links' buffer to avoid another vec.
-            let cursor = &mut self.round_links;
-            cursor.clear();
-            cursor.extend_from_slice(&self.link_off[..num_links]);
-            for f in 0..num_flows {
-                let (s, e) = (self.path_off[f] as usize, self.path_off[f + 1] as usize);
-                for &l in &self.path_flat[s..e] {
-                    let c = &mut cursor[l as usize];
-                    self.link_flows[*c as usize] = f as u32;
-                    *c += 1;
-                }
-            }
-        }
-
-        // Progressive filling. Each round: find the smallest per-flow
-        // share among loaded links, mark every link at that share (up to
-        // fp tolerance) as a bottleneck, and freeze the flows crossing
-        // them — identical rounds, in the identical order, as the
-        // reference implementation.
-        while unfrozen_left > 0 {
-            let mut best_share = f64::INFINITY;
-            for l in 0..num_links {
-                if self.load[l] > 0 {
-                    let share = self.remaining[l] / self.load[l] as f64;
-                    if share < best_share {
-                        best_share = share;
-                    }
-                }
-            }
-            debug_assert!(best_share.is_finite(), "no bottleneck among loaded links");
-            // A small relative tolerance groups links whose shares are
-            // equal up to floating-point noise.
-            let tol = best_share * 1e-12;
-            self.round_links.clear();
-            for l in 0..num_links {
-                if self.load[l] > 0 && self.remaining[l] / self.load[l] as f64 <= best_share + tol {
-                    self.round_links.push(l as u32);
-                }
-            }
-            for i in 0..self.round_links.len() {
-                let l = self.round_links[i] as usize;
-                let (s, e) = (self.link_off[l] as usize, self.link_off[l + 1] as usize);
-                for j in s..e {
-                    let f = self.link_flows[j] as usize;
-                    if self.frozen[f] {
-                        continue;
-                    }
-                    self.frozen[f] = true;
-                    rates[f] = best_share;
-                    unfrozen_left -= 1;
-                    let (ps, pe) = (self.path_off[f] as usize, self.path_off[f + 1] as usize);
-                    for &pl in &self.path_flat[ps..pe] {
-                        let r = &mut self.remaining[pl as usize];
-                        *r = (*r - best_share).max(0.0);
-                        self.load[pl as usize] -= 1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Bounded-recompute max-min fair rates: identical semantics — and
-    /// identical floating-point results — to [`FairshareWorkspace::compute`],
-    /// but every per-round scan walks only the links the given paths
-    /// cross. Cost per call is `O(total path length + active links ·
+    /// identical floating-point results — to [`max_min_rates_ref`], but
+    /// every per-round scan walks only the links the given paths cross. Cost per call is `O(total path length + active links ·
     /// rounds)` instead of `O(num links · rounds)`; `capacities` is
     /// only indexed at active links, never traversed.
     ///
@@ -294,7 +160,7 @@ impl FairshareWorkspace {
         let num_flows = rates.len();
 
         // Dense link ids in ascending original order, so every scan
-        // below visits links exactly as the dense path's `0..num_links`
+        // below visits links exactly as the reference's `0..num_links`
         // loop would.
         self.active.sort_unstable();
         let num_active = self.active.len();
@@ -319,7 +185,7 @@ impl FairshareWorkspace {
         }
 
         // Pass 2: invert into the link CSR by counting sort (ascending
-        // flow order per link), as in the dense path.
+        // flow order per link).
         self.link_off.clear();
         self.link_off.resize(num_active + 1, 0);
         for &l in &self.path_flat {
@@ -345,7 +211,7 @@ impl FairshareWorkspace {
         }
 
         // Progressive filling over the active links only. Links outside
-        // `active` carry no flow, so the dense path's scans skip them
+        // `active` carry no flow, so the reference's scans skip them
         // via the `load > 0` guard; restricting the loop to `active`
         // removes them from the scan without changing a single
         // floating-point operation.
@@ -392,7 +258,7 @@ impl FairshareWorkspace {
 
 /// Reference implementation of [`max_min_rates`]: allocates its scratch
 /// per call and re-scans every flow each freeze round. Retained as the
-/// oracle for property tests and the baseline for `bench_snapshot`.
+/// oracle for property tests.
 ///
 /// # Panics
 ///
@@ -586,10 +452,17 @@ mod tests {
         assert_eq!(ref_bits, ws_bits);
     }
 
+    /// Rates as bit patterns, so comparisons are exact.
+    fn bits(rates: &[f64]) -> Vec<u64> {
+        rates.iter().map(|r| r.to_bits()).collect()
+    }
+
     #[test]
     fn sparse_matches_dense_bit_for_bit() {
-        // Same contended mesh as the dense/reference pin, plus a huge
-        // capacity vector where almost every link is untouched.
+        // The contended mesh of `workspace_matches_reference_bit_for_bit`
+        // spread over a huge capacity vector where almost every link is
+        // untouched: the sparse path must match the dense reference scan
+        // exactly.
         let mut caps = vec![3.3 * GBPS; 4096];
         for (l, c) in [
             (0usize, GBPS),
@@ -616,14 +489,19 @@ mod tests {
             vec![0, 4095],
             vec![],
         ];
+        let reference = max_min_rates_ref(&caps, &widen(&paths));
         let mut ws = FairshareWorkspace::new();
-        let mut dense = Vec::new();
-        ws.compute(&caps, &paths, &mut dense);
         let mut sparse = Vec::new();
         ws.compute_sparse(&caps, &paths, &mut sparse);
-        let dense_bits: Vec<u64> = dense.iter().map(|r| r.to_bits()).collect();
-        let sparse_bits: Vec<u64> = sparse.iter().map(|r| r.to_bits()).collect();
-        assert_eq!(dense_bits, sparse_bits);
+        assert_eq!(bits(&sparse), bits(&reference));
+    }
+
+    /// Paths in the reference's `usize` link ids.
+    fn widen(paths: &[Vec<u32>]) -> Vec<Vec<usize>> {
+        paths
+            .iter()
+            .map(|p| p.iter().map(|&l| l as usize).collect())
+            .collect()
     }
 
     #[test]
@@ -635,9 +513,8 @@ mod tests {
         let mut ws = FairshareWorkspace::new();
         let mut rates = Vec::new();
         ws.compute_sparse(&caps, &paths, &mut rates);
-        let mut expected = Vec::new();
-        ws.compute(&[GBPS, GBPS, GBPS, GBPS, 0.5 * GBPS], &paths, &mut expected);
-        assert_eq!(rates, expected);
+        let expected = max_min_rates_ref(&[GBPS, GBPS, GBPS, GBPS, 0.5 * GBPS], &widen(&paths));
+        assert_eq!(bits(&rates), bits(&expected));
     }
 
     #[test]
@@ -675,17 +552,23 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_clean_across_calls() {
+        // One dirty workspace across problems whose link counts grow and
+        // shrink must reproduce the reference on each of them.
+        let problems: Vec<(Vec<f64>, Vec<Vec<u32>>)> = vec![
+            (vec![GBPS, 0.5 * GBPS], vec![vec![0, 1], vec![1]]),
+            (vec![GBPS], vec![vec![0]]),
+            (
+                vec![0.25 * GBPS; 300],
+                vec![vec![299, 7], vec![7], vec![], vec![150, 299]],
+            ),
+            (vec![GBPS, 0.5 * GBPS], vec![vec![0, 1], vec![1]]),
+        ];
         let mut ws = FairshareWorkspace::new();
         let mut rates = vec![99.0; 7];
-        ws.compute(&[GBPS, 0.5 * GBPS], &[vec![0u32, 1], vec![1]], &mut rates);
-        assert_eq!(rates.len(), 2);
-        let first = rates.clone();
-        // A different, smaller problem must not see stale state.
-        ws.compute(&[GBPS], &[vec![0u32]], &mut rates);
-        assert_eq!(rates, vec![GBPS]);
-        // And re-running the first problem reproduces it exactly.
-        ws.compute(&[GBPS, 0.5 * GBPS], &[vec![0u32, 1], vec![1]], &mut rates);
-        assert_eq!(rates, first);
+        for (caps, paths) in &problems {
+            ws.compute_sparse(caps, paths, &mut rates);
+            assert_eq!(bits(&rates), bits(&max_min_rates_ref(caps, &widen(paths))));
+        }
     }
 
     #[test]

@@ -79,9 +79,10 @@ proptest! {
         caps in proptest::collection::vec(1e6f64..1e10, 1..8),
         seed_paths in random_paths(8, 16),
         loopbacks in 0usize..3,
+        pad_links in 1usize..64,
     ) {
-        // The incremental workspace allocator must reproduce the naive
-        // reference implementation exactly — same freeze rounds, same
+        // The production allocator must reproduce the naive reference
+        // implementation exactly — same freeze rounds, same
         // floating-point operations, hence bit-identical rates.
         let num_links = caps.len();
         let mut paths: Vec<Vec<usize>> = seed_paths
@@ -91,26 +92,26 @@ proptest! {
         for _ in 0..loopbacks {
             paths.push(Vec::new());
         }
-        let reference = max_min_rates_ref(&caps, &paths);
-        let via_wrapper = max_min_rates(&caps, &paths);
-        let ref_bits: Vec<u64> = reference.iter().map(|r| r.to_bits()).collect();
-        prop_assert_eq!(
-            &ref_bits,
-            &via_wrapper.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
-        // A reused (dirty) workspace must agree too.
-        let mut ws = FairshareWorkspace::new();
-        let mut rates = Vec::new();
+        let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        let ref_bits = bits(&max_min_rates_ref(&caps, &paths));
+        prop_assert_eq!(&ref_bits, &bits(&max_min_rates(&caps, &paths)));
+        // A reused (dirty) workspace must agree too, while the link
+        // count grows and shrinks between calls.
+        let mut wider = caps.clone();
+        wider.extend(std::iter::repeat_n(3.3e9, pad_links));
+        let wider_bits = bits(&max_min_rates_ref(&wider, &paths));
         let paths32: Vec<Vec<u32>> = paths
             .iter()
             .map(|p| p.iter().map(|&l| l as u32).collect())
             .collect();
-        ws.compute(&caps, &paths32, &mut rates);
-        ws.compute(&caps, &paths32, &mut rates);
-        prop_assert_eq!(
-            &ref_bits,
-            &rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
+        let mut ws = FairshareWorkspace::new();
+        let mut rates = Vec::new();
+        ws.compute_sparse(&wider, &paths32, &mut rates);
+        prop_assert_eq!(&wider_bits, &bits(&rates));
+        ws.compute_sparse(&caps, &paths32, &mut rates);
+        prop_assert_eq!(&ref_bits, &bits(&rates));
+        ws.compute_sparse(&wider, &paths32, &mut rates);
+        prop_assert_eq!(&wider_bits, &bits(&rates));
     }
 
     #[test]

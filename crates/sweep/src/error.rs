@@ -87,6 +87,12 @@ pub enum SweepError {
     },
     /// The thread count is zero.
     NoThreads,
+    /// A seed sweep produced no sample: it had no seeds, or every seed
+    /// failed.
+    NoSamples {
+        /// Seeds the sweep ran.
+        seeds: u64,
+    },
     /// A JSONL spec line could not be parsed.
     Spec {
         /// 1-based line number.
@@ -148,6 +154,10 @@ impl fmt::Display for SweepError {
                 write!(f, "shard run failed: {reason}")
             }
             SweepError::NoThreads => write!(f, "thread count must be at least 1"),
+            SweepError::NoSamples { seeds: 0 } => write!(f, "a seed sweep needs at least one seed"),
+            SweepError::NoSamples { seeds } => {
+                write!(f, "every one of the {seeds} seeds failed to run")
+            }
             SweepError::Spec { line, reason } => {
                 write!(f, "spec line {line}: {reason}")
             }
@@ -231,6 +241,8 @@ mod tests {
                 "stripe destroyed",
             ),
             (SweepError::NoThreads, "at least 1"),
+            (SweepError::NoSamples { seeds: 0 }, "at least one seed"),
+            (SweepError::NoSamples { seeds: 3 }, "3 seeds failed"),
             (
                 SweepError::Spec {
                     line: 3,

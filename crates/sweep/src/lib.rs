@@ -3,9 +3,9 @@
 //! The paper's evaluation is a grid: scheduling policy × erasure code ×
 //! failure pattern × workload × seed. [`SweepSpec`] describes that grid
 //! once; [`SweepSpec::shards`] expands it into an ordered shard list;
-//! [`run_sweep`] executes the shards on a work-stealing pool of OS
-//! threads and merges the results into one [`SweepReport`] (JSON and a
-//! human table) with LF/EDF/BDF deltas per grid axis.
+//! [`run_sweep`] executes the shards on the work-stealing pool of OS
+//! threads in [`pool`] and merges the results into one [`SweepReport`]
+//! (JSON and a human table) with LF/EDF/BDF deltas per grid axis.
 //!
 //! # Determinism contract
 //!
@@ -24,9 +24,8 @@
 //! * report rendering walks the grid order and formats floats with
 //!   fixed precision — no hashing, no wall-clock, no thread identity.
 //!
-//! This crate is the grid engine; the narrower `dfs::sweep` module
-//! remains the per-figure multi-seed sampler (boxplots over seeds for a
-//! fixed configuration).
+//! The same pool backs [`sweep_seeds`], the per-figure multi-seed
+//! sampler (boxplots over seeds for a fixed configuration).
 //!
 //! # Quickstart
 //!
@@ -53,11 +52,13 @@
 //! ```
 
 pub mod error;
+pub mod pool;
 pub mod report;
 pub mod run;
 pub mod spec;
 
 pub use error::SweepError;
+pub use pool::{sweep_seeds, sweep_seeds_scalar, SweepSummary};
 pub use report::{ScenarioRow, ShardRow, SweepReport};
 pub use run::{run_sweep, trace_diff_scenario, ShardMetrics};
 pub use spec::{

@@ -1,22 +1,27 @@
-//! Shard execution: a work-stealing pool of OS threads over the
-//! experiment harness.
+//! Shard execution: the experiment harness over the [`crate::pool`]
+//! work-stealing pool.
 //!
-//! Workers claim shard indices from an atomic cursor and write results
-//! into pre-allocated per-shard slots, so the merged output is a pure
-//! function of the grid — independent of thread count, scheduling and
-//! finish order. A shard whose simulation fails (e.g. a random failure
-//! scenario that destroys a stripe under a weak code) records an error
-//! row instead of aborting the sweep, mirroring how the paper's 30
-//! random configurations only include valid ones.
+//! Shard results land in per-shard slots indexed by grid position, so
+//! the merged output is a pure function of the grid — independent of
+//! thread count, scheduling and finish order. A shard whose simulation
+//! fails (e.g. a random failure scenario that destroys a stripe under a
+//! weak code) records an error row instead of aborting the sweep,
+//! mirroring how the paper's 30 random configurations only include
+//! valid ones.
 
 use dfs::cluster::FailureTimeline;
 use dfs::erasure::CodeParams;
 use dfs::experiment::{PlacementKind, Policy};
-use dfs::obs::aggregate::Aggregator;
+use dfs::mapreduce::MapLocality;
+use dfs::obs::event::SimEvent;
+use dfs::obs::sink::EventSink;
+use dfs::simkit::stats::percentile_sorted;
+use dfs::simkit::time::SimTime;
 use dfs::workloads::{map_only_job, simulation_default_job, ArrivalTrace};
 use dfs::{Experiment, FailureSpec};
 
 use crate::error::SweepError;
+use crate::pool::run_indexed;
 use crate::report::SweepReport;
 use crate::spec::{FailureAxis, Shard, SweepBase, SweepSpec, WorkloadAxis};
 
@@ -89,25 +94,44 @@ fn shard_experiment(base: &SweepBase, shard: &Shard) -> Result<(Experiment, u64)
     Ok((exp, stream_seed))
 }
 
+/// Counts map tasks queued as degraded: the one shard column a
+/// `RunResult` cannot give, because churn re-queues lost work.
+#[derive(Default)]
+struct DegradedQueued(usize);
+
+impl EventSink for DegradedQueued {
+    fn record(&mut self, _at: SimTime, event: &SimEvent) {
+        if matches!(event, SimEvent::TaskQueued { degraded: true, .. }) {
+            self.0 += 1;
+        }
+    }
+}
+
 /// Runs one shard to completion. Errors are stringified for the report
 /// row; they do not abort the sweep.
 fn run_shard(base: &SweepBase, shard: &Shard) -> Result<ShardMetrics, String> {
     let (exp, stream_seed) = shard_experiment(base, shard)?;
-    let mut agg = Aggregator::new(exp.aggregator_config(stream_seed));
+    let mut queued = DegradedQueued::default();
     let run = exp
-        .run_traced(shard.policy, stream_seed, &mut agg)
+        .run_traced(shard.policy, stream_seed, &mut queued)
         .map_err(|e| e.to_string())?;
-    let report = agg.report();
+    let mut turnaround: Vec<f64> = run
+        .jobs
+        .iter()
+        .map(|j| j.turnaround().as_secs_f64())
+        .collect();
+    turnaround.sort_by(f64::total_cmp);
+    let job_pct = |p| percentile_sorted(&turnaround, p).ok();
     Ok(ShardMetrics {
         stream_seed,
         makespan_secs: run.makespan.as_secs_f64(),
-        jobs_finished: report.jobs_finished,
+        jobs_finished: run.jobs.len(),
         maps_total: run.tasks.len(),
-        maps_degraded: report.maps_degraded,
-        tasks_queued_degraded: report.tasks_queued_degraded,
-        job_p50_secs: report.job_latency_p50,
-        job_p95_secs: report.job_latency_p95,
-        job_p99_secs: report.job_latency_p99,
+        maps_degraded: run.map_count(MapLocality::Degraded),
+        tasks_queued_degraded: queued.0,
+        job_p50_secs: job_pct(0.50),
+        job_p95_secs: job_pct(0.95),
+        job_p99_secs: job_pct(0.99),
     })
 }
 
@@ -175,39 +199,14 @@ pub fn trace_diff_scenario(
     Ok(render(&diff_streams(&a, &b, top)))
 }
 
-/// Runs the shard list on a pool and returns per-shard outcomes in grid
-/// order.
+/// Runs the shard list on the pool and returns per-shard outcomes in
+/// grid order.
 fn run_shards(
     base: &SweepBase,
     shards: &[Shard],
     threads: usize,
 ) -> Vec<Result<ShardMetrics, String>> {
-    let workers = threads.min(shards.len()).max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<ShardMetrics, String>>>> =
-        shards.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= shards.len() {
-                    break;
-                }
-                let outcome = run_shard(base, &shards[i]);
-                // A poisoned slot only means another worker panicked
-                // mid-store; the stored value is still ours to replace.
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| Err("shard was never executed".to_string()))
-        })
-        .collect()
+    run_indexed(shards.len(), threads, |i| run_shard(base, &shards[i]))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use dfs::experiment::Policy;
 use dfs::mapreduce::MapLocality;
 use dfs::presets;
 use dfs::simkit::report::{f3, pct, Table};
-use dfs::sweep::sweep_seeds;
+use sweep::sweep_seeds_scalar;
 
 fn main() {
     let exp = presets::simulation_default();
@@ -29,7 +29,8 @@ fn main() {
         Policy::BasicDegradedFirst,
         Policy::EnhancedDegradedFirst,
     ] {
-        let sweep = sweep_seeds(seeds, |seed| exp.normalized_runtime(policy, seed).ok());
+        let sweep = sweep_seeds_scalar(seeds, |seed| exp.normalized_runtime(policy, seed).ok())
+            .expect("a seed runs");
         let mean = sweep.mean();
         let vs = match lf_mean {
             None => {

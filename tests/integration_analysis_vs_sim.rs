@@ -11,7 +11,7 @@ use dfs::mapreduce::engine::EngineConfig;
 use dfs::mapreduce::job::JobSpec;
 use dfs::netsim::NetConfig;
 use dfs::simkit::time::SimDuration;
-use dfs::sweep::sweep_seeds;
+use sweep::sweep_seeds_scalar;
 
 /// A small analysis-compatible setting: N=20, R=4, L=2, T=10s,
 /// (8,6), F=480, W=200 Mbps, S=128MB.
@@ -74,9 +74,10 @@ fn normal_mode_runtime_matches_ft_over_nl() {
 fn locality_first_matches_model_band() {
     let (params, exp) = setting();
     let predicted = params.locality_first_normalized();
-    let sweep = sweep_seeds(6, |seed| {
+    let sweep = sweep_seeds_scalar(6, |seed| {
         exp.normalized_runtime(Policy::LocalityFirst, seed).ok()
-    });
+    })
+    .expect("a seed runs");
     let simulated = sweep.mean();
     let ratio = simulated / predicted;
     assert!(
@@ -89,10 +90,11 @@ fn locality_first_matches_model_band() {
 fn degraded_first_matches_model_band() {
     let (params, exp) = setting();
     let predicted = params.degraded_first_normalized();
-    let sweep = sweep_seeds(6, |seed| {
+    let sweep = sweep_seeds_scalar(6, |seed| {
         exp.normalized_runtime(Policy::BasicDegradedFirst, seed)
             .ok()
-    });
+    })
+    .expect("a seed runs");
     let simulated = sweep.mean();
     let ratio = simulated / predicted;
     assert!(
@@ -105,10 +107,12 @@ fn degraded_first_matches_model_band() {
 fn model_and_sim_agree_on_the_winner() {
     let (params, exp) = setting();
     assert!(params.degraded_first_runtime() < params.locality_first_runtime());
-    let lf = sweep_seeds(5, |s| exp.normalized_runtime(Policy::LocalityFirst, s).ok());
-    let df = sweep_seeds(5, |s| {
+    let lf = sweep_seeds_scalar(5, |s| exp.normalized_runtime(Policy::LocalityFirst, s).ok())
+        .expect("a seed runs");
+    let df = sweep_seeds_scalar(5, |s| {
         exp.normalized_runtime(Policy::BasicDegradedFirst, s).ok()
-    });
+    })
+    .expect("a seed runs");
     assert!(
         df.mean() < lf.mean(),
         "sim contradicts the model: DF {:.3} vs LF {:.3}",

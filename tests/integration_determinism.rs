@@ -3,7 +3,7 @@
 
 use dfs::experiment::Policy;
 use dfs::presets;
-use dfs::sweep::sweep_seeds;
+use sweep::sweep_seeds_scalar;
 
 #[test]
 fn identical_seeds_reproduce_bit_identically() {
@@ -27,10 +27,11 @@ fn different_seeds_differ() {
 fn parallel_sweep_is_deterministic() {
     let exp = presets::small_default();
     let run = || {
-        sweep_seeds(6, |seed| {
+        sweep_seeds_scalar(6, |seed| {
             exp.normalized_runtime(Policy::EnhancedDegradedFirst, seed)
                 .ok()
         })
+        .expect("a seed runs")
     };
     let a = run();
     let b = run();
@@ -49,10 +50,11 @@ fn runs_across_threads_match_runs_in_sequence() {
                 .expect("seq run")
         })
         .collect();
-    let parallel = sweep_seeds(4, |seed| {
+    let parallel = sweep_seeds_scalar(4, |seed| {
         exp.normalized_runtime(Policy::BasicDegradedFirst, seed)
             .ok()
-    });
+    })
+    .expect("a seed runs");
     assert_eq!(parallel.samples, sequential);
 }
 
