@@ -381,6 +381,9 @@ pub(crate) struct JobRt {
     pub(crate) node_local_pool: Vec<Vec<MapTaskId>>,
     /// Unassigned degraded tasks.
     pub(crate) degraded_pool: Vec<MapTaskId>,
+    /// Unassigned normal tasks: always the sum of the `node_local_pool`
+    /// lengths, which lets `Heartbeat::take_rack_local` and
+    /// `Heartbeat::take_remote` return at once when it is zero.
     pub(crate) unassigned_normal: usize,
     pub(crate) launched_maps: usize,
     pub(crate) launched_degraded: usize,
@@ -686,6 +689,7 @@ impl<'a> EngineBuilder<'a> {
             cal: Calendar::new(),
             now: SimTime::ZERO,
             jobs,
+            unfinished_jobs: num_jobs,
             fifo: Vec::new(),
             free_map,
             free_reduce,
@@ -716,6 +720,8 @@ pub struct Engine {
     cal: Calendar<Event>,
     pub(crate) now: SimTime,
     pub(crate) jobs: Vec<JobRt>,
+    /// Jobs without `finished_at`; the run ends when it reaches zero.
+    unfinished_jobs: usize,
     /// Submitted, unfinished jobs in FIFO order.
     pub(crate) fifo: Vec<JobId>,
     pub(crate) free_map: Vec<u32>,
@@ -889,15 +895,12 @@ impl Engine {
                 Event::NodeFails(node) => self.on_node_fails(node, &mut rec),
                 Event::NodeRecovers(node) => self.on_node_recovers(node, &mut rec),
             }
-            if rec.is_enabled() {
-                for entry in self.net.take_flow_log() {
-                    rec.emit(entry.at, || flow_log_event(&entry));
-                }
-            }
+            self.net
+                .drain_flow_log(|entry| rec.emit(entry.at, || flow_log_event(&entry)));
             if let Some(err) = self.fatal.take() {
                 return Err(err);
             }
-            if self.jobs.iter().all(|j| j.is_finished()) {
+            if self.unfinished_jobs == 0 {
                 let makespan = self.now.duration_since(SimTime::ZERO);
                 let jobs = self
                     .jobs
@@ -953,7 +956,7 @@ impl Engine {
         }
         // Keep the periodic chain alive while any job is unfinished;
         // out-of-band beats are one-shot.
-        if periodic && self.jobs.iter().any(|j| !j.is_finished()) {
+        if periodic && self.unfinished_jobs > 0 {
             self.cal.schedule(
                 self.now + self.cfg.heartbeat_period,
                 Event::Heartbeat {
@@ -1183,11 +1186,9 @@ impl Engine {
         }
 
         // Map-only jobs finish with their last map.
-        let j = &mut self.jobs[job.index()];
+        let j = &self.jobs[job.index()];
         if j.spec.is_map_only() && j.completed_maps == j.maps.len() {
-            j.finished_at = Some(self.now);
-            self.fifo.retain(|&id| id != job);
-            rec.emit(self.now, || SimEvent::JobFinished { job: job.0 });
+            self.finish_job(job, rec);
         }
         self.refresh_net_check();
     }
@@ -1226,12 +1227,19 @@ impl Engine {
                 },
             );
         }
-        let j = &mut self.jobs[job.index()];
+        let j = &self.jobs[job.index()];
         if j.completed_reduces == j.reduces.len() {
-            j.finished_at = Some(self.now);
-            self.fifo.retain(|&id| id != job);
-            rec.emit(self.now, || SimEvent::JobFinished { job: job.0 });
+            self.finish_job(job, rec);
         }
+    }
+
+    fn finish_job(&mut self, job: JobId, rec: &mut Recorder<'_>) {
+        let j = &mut self.jobs[job.index()];
+        debug_assert!(j.finished_at.is_none(), "job finished twice");
+        j.finished_at = Some(self.now);
+        self.unfinished_jobs -= 1;
+        self.fifo.retain(|&id| id != job);
+        rec.emit(self.now, || SimEvent::JobFinished { job: job.0 });
     }
 
     // ---- mid-run churn ---------------------------------------------------
@@ -1328,7 +1336,7 @@ impl Engine {
                 }
             }
         }
-        if !self.hb_active[node.index()] && self.jobs.iter().any(|j| !j.is_finished()) {
+        if !self.hb_active[node.index()] && self.unfinished_jobs > 0 {
             self.hb_active[node.index()] = true;
             self.cal.schedule(
                 self.now,

@@ -120,17 +120,21 @@ impl<'a> Heartbeat<'a> {
     }
 
     /// `E[t_s]`: mean of [`Heartbeat::slave_local_work_secs`] over live
-    /// slaves.
+    /// slaves, summed in ascending node order.
     pub fn mean_local_work_secs(&self, job: JobId) -> f64 {
-        let alive = self.engine.cstate.alive_nodes();
-        if alive.is_empty() {
+        let mut alive = 0usize;
+        let sum = self
+            .engine
+            .topo
+            .node_ids()
+            .filter(|&n| self.engine.cstate.is_alive(n))
+            .inspect(|_| alive += 1)
+            .map(|n| self.slave_local_work_secs(job, n))
+            .sum::<f64>();
+        if alive == 0 {
             return 0.0;
         }
-        alive
-            .iter()
-            .map(|&n| self.slave_local_work_secs(job, n))
-            .sum::<f64>()
-            / alive.len() as f64
+        sum / alive as f64
     }
 
     /// `t_r`: seconds since the last degraded task was assigned to the
@@ -179,22 +183,20 @@ impl<'a> Heartbeat<'a> {
     /// node of this slave's rack, preferring the node with the largest
     /// backlog.
     pub fn take_rack_local(&mut self, job: JobId) -> Option<MapTaskId> {
-        if self.free_map_slots() == 0 {
+        if self.free_map_slots() == 0 || !self.has_normal(job) {
             return None;
         }
         let slave = self.slave;
-        let rack = self.engine.topo.rack_of(slave);
-        let members: Vec<NodeId> = self.engine.topo.nodes_in_rack(rack).to_vec();
-        let source = members
-            .into_iter()
+        let pools = &self.engine.jobs[job.index()].node_local_pool;
+        let source = self
+            .engine
+            .topo
+            .nodes_in_rack(self.engine.topo.rack_of(slave))
+            .iter()
+            .copied()
             .filter(|&m| m != slave)
-            .max_by_key(|&m| {
-                (
-                    self.engine.jobs[job.index()].node_local_pool[m.index()].len(),
-                    std::cmp::Reverse(m),
-                )
-            })
-            .filter(|&m| !self.engine.jobs[job.index()].node_local_pool[m.index()].is_empty())?;
+            .max_by_key(|&m| (pools[m.index()].len(), std::cmp::Reverse(m)))
+            .filter(|&m| !pools[m.index()].is_empty())?;
         let task = self.engine.jobs[job.index()].node_local_pool[source.index()]
             .pop()
             .expect("non-empty pool");
@@ -205,22 +207,18 @@ impl<'a> Heartbeat<'a> {
     /// Claims any remaining normal task (its block will be fetched across
     /// racks), preferring the node with the largest backlog.
     pub fn take_remote(&mut self, job: JobId) -> Option<MapTaskId> {
-        if self.free_map_slots() == 0 {
+        if self.free_map_slots() == 0 || !self.has_normal(job) {
             return None;
         }
         let slave = self.slave;
+        let pools = &self.engine.jobs[job.index()].node_local_pool;
         let source = self
             .engine
             .topo
             .node_ids()
             .filter(|&m| m != slave)
-            .max_by_key(|&m| {
-                (
-                    self.engine.jobs[job.index()].node_local_pool[m.index()].len(),
-                    std::cmp::Reverse(m),
-                )
-            })
-            .filter(|&m| !self.engine.jobs[job.index()].node_local_pool[m.index()].is_empty())?;
+            .max_by_key(|&m| (pools[m.index()].len(), std::cmp::Reverse(m)))
+            .filter(|&m| !pools[m.index()].is_empty())?;
         let task = self.engine.jobs[job.index()].node_local_pool[source.index()]
             .pop()
             .expect("non-empty pool");
@@ -260,7 +258,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
     use crate::job::JobSpec;
-    use cluster::{FailureScenario, Topology};
+    use cluster::{FailureScenario, FailureTimeline, Topology};
     use ecstore::placement::RackAwarePlacement;
     use erasure::CodeParams;
     use simkit::time::SimDuration;
@@ -314,18 +312,7 @@ mod tests {
                     has_normal: hb.has_normal(job),
                 });
             }
-            'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
-                    if hb.take_node_local(job).is_some()
-                        || hb.take_rack_local(job).is_some()
-                        || hb.take_remote(job).is_some()
-                        || hb.take_degraded(job).is_some()
-                    {
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
+            claim_greedily(hb);
         }
 
         fn name(&self) -> &'static str {
@@ -440,5 +427,139 @@ mod tests {
             *flag.borrow(),
             "t_r never became finite despite degraded launches"
         );
+    }
+
+    /// Claims greedily: node-local, rack-local, remote, then degraded.
+    fn claim_greedily(hb: &mut Heartbeat<'_>) {
+        'outer: while hb.free_map_slots() > 0 {
+            for job in hb.jobs() {
+                if hb.take_node_local(job).is_some()
+                    || hb.take_rack_local(job).is_some()
+                    || hb.take_remote(job).is_some()
+                    || hb.take_degraded(job).is_some()
+                {
+                    continue 'outer;
+                }
+            }
+            break;
+        }
+    }
+
+    #[test]
+    fn unassigned_normal_counts_the_node_local_pools_through_churn() {
+        // The early exit of `take_rack_local` / `take_remote` is exact
+        // only while `unassigned_normal` equals the pools' total. Audit
+        // it at every heartbeat of a run where node0 dies at 5 s (its
+        // running maps are killed and requeued, its pool turns
+        // degraded) and rejoins at 30 s (degraded tasks it holds turn
+        // node-local again).
+        #[derive(Default)]
+        struct Audit {
+            checks: usize,
+            saw_dead: bool,
+            saw_recovered: bool,
+            saw_requeue: bool,
+            launched_after_last_beat: usize,
+        }
+        struct Auditor(Rc<RefCell<Audit>>);
+        impl MapScheduler for Auditor {
+            fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
+                let mut audit = self.0.borrow_mut();
+                for j in &hb.engine.jobs {
+                    let pooled: usize = j.node_local_pool.iter().map(Vec::len).sum();
+                    assert_eq!(j.unassigned_normal, pooled, "at {}", hb.now());
+                    audit.checks += 1;
+                }
+                let node0_alive = hb.engine.cstate.is_alive(NodeId(0));
+                audit.saw_recovered |= audit.saw_dead && node0_alive;
+                audit.saw_dead |= !node0_alive;
+                let job = JobId(0);
+                audit.saw_requeue |= hb.launched_maps(job) < audit.launched_after_last_beat;
+                claim_greedily(hb);
+                audit.launched_after_last_beat = hb.launched_maps(job);
+            }
+            fn name(&self) -> &'static str {
+                "auditor"
+            }
+        }
+        let topo = Topology::homogeneous(2, 4, 2, 1);
+        let audit = Rc::new(RefCell::new(Audit::default()));
+        let result = Engine::builder(topo.clone())
+            .code(CodeParams::new(4, 2).unwrap(), 32)
+            .placement(&RackAwarePlacement)
+            .timeline(
+                FailureTimeline::new()
+                    .fail_node_at(topo.node(0), SimTime::from_secs(5))
+                    .recover_node_at(topo.node(0), SimTime::from_secs(30)),
+            )
+            .seed(2)
+            .job(
+                JobSpec::builder("churn")
+                    .map_time(SimDuration::from_secs(30), SimDuration::ZERO)
+                    .map_only()
+                    .build(),
+            )
+            .build()
+            .unwrap()
+            .run(Box::new(Auditor(audit.clone())))
+            .unwrap();
+        assert_eq!(result.tasks.len(), 32);
+        let audit = audit.borrow();
+        assert!(audit.checks > 0);
+        assert!(audit.saw_dead, "no heartbeat saw node0 down");
+        assert!(audit.saw_recovered, "no heartbeat saw node0 back");
+        assert!(audit.saw_requeue, "no launched map was requeued");
+    }
+
+    #[test]
+    fn drained_pools_claim_nothing_while_degraded_work_remains() {
+        // Greedy claiming drains every normal task before any degraded
+        // one, so some heartbeat finds the node-local pools empty while
+        // degraded tasks wait: rack-local and remote claims must return
+        // `None` and leave the slots, counters and claims untouched.
+        struct Prober(Rc<RefCell<usize>>);
+        impl MapScheduler for Prober {
+            fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
+                let job = JobId(0);
+                if !hb.has_normal(job) && hb.has_degraded(job) && hb.free_map_slots() > 0 {
+                    let j = &hb.engine.jobs[job.index()];
+                    assert!(j.node_local_pool.iter().all(Vec::is_empty));
+                    let state = |hb: &Heartbeat<'_>| {
+                        (
+                            hb.free_map_slots(),
+                            hb.launched_maps(job),
+                            hb.assigned.len(),
+                        )
+                    };
+                    let before = state(hb);
+                    assert_eq!(hb.take_rack_local(job), None);
+                    assert_eq!(hb.take_remote(job), None);
+                    assert_eq!(state(hb), before);
+                    *self.0.borrow_mut() += 1;
+                }
+                claim_greedily(hb);
+            }
+            fn name(&self) -> &'static str {
+                "prober"
+            }
+        }
+        let topo = Topology::homogeneous(2, 4, 2, 1);
+        let probes = Rc::new(RefCell::new(0));
+        Engine::builder(topo.clone())
+            .code(CodeParams::new(4, 2).unwrap(), 32)
+            .placement(&RackAwarePlacement)
+            .failure(FailureScenario::nodes([topo.node(0)]))
+            .seed(3)
+            .job(
+                JobSpec::builder("drain")
+                    .map_time(SimDuration::from_secs(8), SimDuration::ZERO)
+                    .map_only()
+                    .build(),
+            )
+            .build()
+            .unwrap()
+            .run(Box::new(Prober(probes.clone())))
+            .unwrap();
+        assert!(*probes.borrow() > 0, "no heartbeat probed drained pools");
     }
 }

@@ -9,246 +9,321 @@
 //!
 //! Two implementations live here:
 //!
-//! * [`FairshareWorkspace::compute_sparse`] — the production path: a
-//!   **bounded-recompute** allocator that touches only the links the
-//!   given paths actually cross. Per call it is `O(total path length +
-//!   active links · rounds)`, independent of how many links the
-//!   network has — the property that makes per-event reallocation
-//!   affordable on a 10,000-node topology, where a handful of flows
-//!   share a few dozen of the ~20,000 links.
+//! * [`FlowIncidence`] — the production path: a **persistent** flow↔link
+//!   incidence that the owner updates as flows start and leave
+//!   ([`FlowIncidence::push`], [`FlowIncidence::swap_remove`], each
+//!   `O(route length)`). It keeps, per link that carries a flow, the
+//!   list of hops crossing it, plus the set of such *live* links. A
+//!   reallocation ([`FlowIncidence::compute`]) only resets remaining
+//!   capacity and load on the live links and runs progressive filling:
+//!   no path copy, no sort, no rebuilt index. Its cost is `O(flows +
+//!   live links · rounds)`, independent of how many links the network
+//!   has — on a 10,000-node topology a few thousand flows cross a few
+//!   thousand of the ~20,000 links.
 //! * [`max_min_rates_ref`] — the straightforward textbook version this
 //!   module originally shipped, retained as the oracle.
 //!
-//! Both produce **bit-identical** rates: links with no unfrozen flow
-//! never contribute to a round's `best_share`, so restricting every
-//! scan to the active (path-referenced) links — enumerated in ascending
-//! link order, exactly as the reference's dense scan visits them —
-//! reproduces the same freeze rounds, the same `best_share` every
-//! round, and hence the same clamped subtraction sequence per link.
+//! Both produce **bit-identical** rates, although the incidence visits
+//! links and flows in whatever order starts and departures left them:
+//!
+//! * links with no unfrozen flow never contribute to a round, so
+//!   restricting every scan to the live links drops no candidate;
+//! * a round's `best_share` is the minimum of the same set of `f64`
+//!   quotients `remaining / load`, and a minimum does not depend on scan
+//!   order;
+//! * the round's bottleneck links — those within `tol` of `best_share` —
+//!   form a set, and so do the unfrozen flows crossing them;
+//! * within a round every subtraction on a link uses the same
+//!   `best_share`, so the clamped sequence `r ← max(r − best_share, 0)`
+//!   a link goes through does not depend on the order its flows are
+//!   frozen in.
+//!
+//! Hence the same freeze rounds, the same `best_share` every round and
+//! the same per-link arithmetic as the reference's ascending scans.
+
+/// Most links a route may cross: the two-level tree's longest route is
+/// `src NIC up, src rack up, dst rack down, dst NIC down`.
+pub const MAX_HOPS: usize = 4;
+
+/// A hop entry packs `slot << HOP_BITS | hop`.
+const HOP_BITS: u32 = 2;
+const HOP_MASK: u32 = (1 << HOP_BITS) - 1;
+/// `live_pos` marker for a link that carries no flow.
+const NOT_LIVE: u32 = u32::MAX;
 
 /// Computes max-min fair rates.
 ///
 /// * `capacities[l]` — capacity of link `l` in bits/second.
 /// * `paths[f]` — the link indices flow `f` traverses (may be empty for a
-///   loopback flow, which gets `f64::INFINITY`).
+///   loopback flow, which gets `f64::INFINITY`); at most [`MAX_HOPS`].
 ///
-/// Returns one rate per flow, in bits/second. Convenience wrapper over
-/// [`FairshareWorkspace::compute_sparse`] for one-shot callers; event
-/// loops should hold a workspace to amortize the scratch allocations.
+/// Returns one rate per flow, in bits/second. One-shot wrapper over
+/// [`FlowIncidence`]; event loops should keep the incidence and update
+/// it as flows come and go.
 ///
 /// # Panics
 ///
-/// Panics if a path references an unknown link or the capacity of a
-/// referenced link is not positive and finite.
+/// Panics if a path references an unknown link or crosses more than
+/// [`MAX_HOPS`] links, or the capacity of a referenced link is not
+/// positive and finite.
 pub fn max_min_rates(capacities: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
-    let mut ws = FairshareWorkspace::new();
+    let mut incidence = FlowIncidence::new();
+    let mut route = Vec::with_capacity(MAX_HOPS);
+    for path in paths {
+        route.clear();
+        for &l in path {
+            assert!(l < capacities.len(), "path references unknown link {l}");
+            route.push(u32::try_from(l).expect("link index fits u32"));
+        }
+        incidence.push(&route);
+    }
     let mut rates = Vec::new();
-    let paths32: Vec<Vec<u32>> = paths
-        .iter()
-        .map(|p| {
-            p.iter()
-                .map(|&l| u32::try_from(l).expect("link index fits u32"))
-                .collect()
-        })
-        .collect();
-    ws.compute_sparse(capacities, &paths32, &mut rates);
+    incidence.compute(capacities, &mut rates);
     rates
 }
 
-/// Scratch state for [`FairshareWorkspace::compute_sparse`]. Create
-/// once, reuse for every allocation; all internal buffers retain their
-/// capacity between calls, so a warm workspace allocates nothing.
-#[derive(Clone, Debug, Default)]
-pub struct FairshareWorkspace {
-    /// Remaining capacity per link.
-    remaining: Vec<f64>,
-    /// Unfrozen flows crossing each link.
-    load: Vec<u32>,
-    /// Flow → links, CSR: flow `f` uses `path_flat[path_off[f]..path_off[f+1]]`.
-    path_off: Vec<u32>,
-    path_flat: Vec<u32>,
-    /// Link → flows, CSR: link `l` carries `link_flows[link_off[l]..link_off[l+1]]`.
-    link_off: Vec<u32>,
-    link_flows: Vec<u32>,
-    /// Per-flow freeze flag.
-    frozen: Vec<bool>,
-    /// Bottleneck links of the current round.
-    round_links: Vec<u32>,
-    /// Sparse-path scratch: original link id → epoch stamp. A link is
-    /// "known this call" iff its stamp equals `epoch`.
-    link_epoch: Vec<u32>,
-    /// Sparse-path scratch: original link id → dense index, valid only
-    /// when the epoch stamp matches.
-    link_dense: Vec<u32>,
-    /// Sparse-path scratch: dense index → original link id, ascending.
-    active: Vec<u32>,
-    /// Current sparse-call epoch (see `link_epoch`).
-    epoch: u32,
+/// One flow's route, and where each of its hops sits in that link's
+/// hop list.
+#[derive(Clone, Copy, Debug)]
+struct Route {
+    len: u8,
+    links: [u32; MAX_HOPS],
+    at: [u32; MAX_HOPS],
 }
 
-impl FairshareWorkspace {
-    /// An empty workspace.
-    pub fn new() -> FairshareWorkspace {
-        FairshareWorkspace::default()
+/// A link that carries at least one flow.
+#[derive(Clone, Debug)]
+struct LiveLink {
+    id: u32,
+    /// One entry per hop crossing the link, `slot << HOP_BITS | hop`,
+    /// in no particular order.
+    hops: Vec<u32>,
+}
+
+/// The persistent flow↔link incidence behind [`max_min_rates`], with
+/// the scratch that progressive filling needs. Flows live in dense
+/// slots `0..len()`, like a `Vec`: [`FlowIncidence::push`] appends one
+/// and [`FlowIncidence::swap_remove`] moves the last flow into the
+/// freed slot, so an owner that keeps its own flow vector in the same
+/// order reads rates by the same index. A link's hop list is allocated
+/// when the link goes live and freed when it empties, so memory follows
+/// the live links rather than every link ever used; the per-call
+/// scratch keeps its capacity, so [`FlowIncidence::compute`] allocates
+/// nothing once warm.
+#[derive(Clone, Debug, Default)]
+pub struct FlowIncidence {
+    /// Per flow slot.
+    routes: Vec<Route>,
+    /// The links that carry a flow, in no particular order.
+    live: Vec<LiveLink>,
+    /// Link id → index in `live`, or `NOT_LIVE`.
+    live_pos: Vec<u32>,
+    /// Per-call scratch, indexed like `live`: remaining capacity and
+    /// the number of unfrozen hops on each live link.
+    remaining: Vec<f64>,
+    load: Vec<u32>,
+    /// Per-call scratch, indexed by flow slot.
+    frozen: Vec<bool>,
+    /// Per-round scratch: the `live` indices still carrying an unfrozen
+    /// hop, and their shares `remaining / load` at the round's start.
+    open: Vec<u32>,
+    shares: Vec<f64>,
+}
+
+impl FlowIncidence {
+    /// An incidence with no flows.
+    pub fn new() -> FlowIncidence {
+        FlowIncidence::default()
     }
 
-    /// Bounded-recompute max-min fair rates: identical semantics — and
-    /// identical floating-point results — to [`max_min_rates_ref`], but
-    /// every per-round scan walks only the links the given paths cross. Cost per call is `O(total path length + active links ·
-    /// rounds)` instead of `O(num links · rounds)`; `capacities` is
-    /// only indexed at active links, never traversed.
-    ///
-    /// The one scan proportional to the full link count is a lazy,
-    /// amortized resize of two epoch-stamped lookup tables the first
-    /// time a larger link id appears; steady-state calls allocate and
-    /// clear nothing.
+    /// Number of flows.
+    pub fn len(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// True if there are no flows.
+    pub fn is_empty(&self) -> bool {
+        self.routes.is_empty()
+    }
+
+    /// The links the flow in `slot` crosses (empty for loopback).
     ///
     /// # Panics
     ///
-    /// Panics if a path references an unknown link (`>= capacities.len()`)
-    /// or the capacity of a *referenced* link is not positive and
-    /// finite. (Unreferenced links' capacities are never inspected —
-    /// the price of never touching them.)
-    pub fn compute_sparse<I>(&mut self, capacities: &[f64], paths: I, rates: &mut Vec<f64>)
-    where
-        I: IntoIterator,
-        I::Item: AsRef<[u32]>,
-    {
-        let num_links = capacities.len();
-        if self.link_epoch.len() < num_links {
-            self.link_epoch.resize(num_links, 0);
-            self.link_dense.resize(num_links, 0);
-        }
-        if self.epoch == u32::MAX {
-            self.link_epoch.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
+    /// Panics if `slot >= len()`.
+    pub fn links(&self, slot: usize) -> &[u32] {
+        let route = &self.routes[slot];
+        &route.links[..route.len as usize]
+    }
 
+    /// Adds a flow crossing `links` (empty for loopback) in slot
+    /// `len()`. A link may appear more than once; each occurrence loads
+    /// it once, as in [`max_min_rates_ref`]. Link ids are checked
+    /// against the capacities only by [`FlowIncidence::compute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links` is longer than [`MAX_HOPS`].
+    pub fn push(&mut self, links: &[u32]) {
+        assert!(
+            links.len() <= MAX_HOPS,
+            "a route crosses at most {MAX_HOPS} links"
+        );
+        let slot = u32::try_from(self.routes.len())
+            .ok()
+            .filter(|&s| s <= u32::MAX >> HOP_BITS)
+            .expect("flow slot fits a hop entry");
+        let mut route = Route {
+            len: links.len() as u8,
+            links: [0; MAX_HOPS],
+            at: [0; MAX_HOPS],
+        };
+        for (hop, &link) in links.iter().enumerate() {
+            let pos = self.live_index(link);
+            let hops = &mut self.live[pos].hops;
+            route.links[hop] = link;
+            route.at[hop] = hops.len() as u32;
+            hops.push(slot << HOP_BITS | hop as u32);
+        }
+        self.routes.push(route);
+    }
+
+    /// Removes the flow in `slot`; the last flow moves into `slot`, as
+    /// with `Vec::swap_remove`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= len()`.
+    pub fn swap_remove(&mut self, slot: usize) {
+        // Hop positions are re-read every iteration: detaching one hop
+        // may move a later hop of the same flow within a shared list.
+        for hop in 0..self.routes[slot].len as usize {
+            let (link, at) = (self.routes[slot].links[hop], self.routes[slot].at[hop]);
+            self.detach(link, at as usize);
+        }
+        self.routes.swap_remove(slot);
+        if let Some(moved) = self.routes.get(slot) {
+            let entry = (slot as u32) << HOP_BITS;
+            for hop in 0..moved.len as usize {
+                let pos = self.live_pos[moved.links[hop] as usize] as usize;
+                self.live[pos].hops[moved.at[hop] as usize] = entry | hop as u32;
+            }
+        }
+    }
+
+    /// The `live` index of `link`, making it live if it is not.
+    fn live_index(&mut self, link: u32) -> usize {
+        let l = link as usize;
+        if l >= self.live_pos.len() {
+            self.live_pos.resize(l + 1, NOT_LIVE);
+        }
+        if self.live_pos[l] == NOT_LIVE {
+            self.live_pos[l] = self.live.len() as u32;
+            self.live.push(LiveLink {
+                id: link,
+                hops: Vec::new(),
+            });
+        }
+        self.live_pos[l] as usize
+    }
+
+    /// Drops the hop entry at `at` of `link`'s list; a link left with
+    /// no hop stops being live.
+    fn detach(&mut self, link: u32, at: usize) {
+        let pos = self.live_pos[link as usize] as usize;
+        let hops = &mut self.live[pos].hops;
+        hops.swap_remove(at);
+        if let Some(&entry) = hops.get(at) {
+            self.routes[(entry >> HOP_BITS) as usize].at[(entry & HOP_MASK) as usize] = at as u32;
+        } else if hops.is_empty() {
+            self.live.swap_remove(pos);
+            self.live_pos[link as usize] = NOT_LIVE;
+            if let Some(moved) = self.live.get(pos) {
+                self.live_pos[moved.id as usize] = pos as u32;
+            }
+        }
+    }
+
+    /// Max-min fair rates of the current flows into `rates`, one per
+    /// slot: identical semantics — and identical floating-point
+    /// results — to [`max_min_rates_ref`] over the same paths (see the
+    /// [module docs](self)). `capacities` is indexed only at live links,
+    /// never traversed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live link is unknown (`>= capacities.len()`) or its
+    /// capacity is not positive and finite. (Other links' capacities
+    /// are never inspected — the price of never touching them.)
+    pub fn compute(&mut self, capacities: &[f64], rates: &mut Vec<f64>) {
         rates.clear();
         self.frozen.clear();
-        self.active.clear();
-
-        // Pass 1: copy paths into the flow CSR (original link ids for
-        // now), collect the set of referenced links, and freeze
-        // loopback (empty-path) flows at infinity.
-        self.path_off.clear();
-        self.path_flat.clear();
-        self.path_off.push(0);
         let mut unfrozen_left = 0usize;
-        for path in paths {
-            let path = path.as_ref();
-            for &l in path {
-                assert!((l as usize) < num_links, "path references unknown link {l}");
-                if self.link_epoch[l as usize] != epoch {
-                    self.link_epoch[l as usize] = epoch;
-                    self.active.push(l);
-                }
-                self.path_flat.push(l);
-            }
-            self.path_off.push(self.path_flat.len() as u32);
-            if path.is_empty() {
-                rates.push(f64::INFINITY);
-                self.frozen.push(true);
-            } else {
-                rates.push(0.0);
-                self.frozen.push(false);
-                unfrozen_left += 1;
-            }
+        for route in &self.routes {
+            // Loopback flows cross no link and are frozen at infinity.
+            let loopback = route.len == 0;
+            rates.push(if loopback { f64::INFINITY } else { 0.0 });
+            self.frozen.push(loopback);
+            unfrozen_left += usize::from(!loopback);
         }
-        let num_flows = rates.len();
-
-        // Dense link ids in ascending original order, so every scan
-        // below visits links exactly as the reference's `0..num_links`
-        // loop would.
-        self.active.sort_unstable();
-        let num_active = self.active.len();
         self.remaining.clear();
         self.load.clear();
-        self.load.resize(num_active, 0);
-        for (d, &l) in self.active.iter().enumerate() {
-            let cap = capacities[l as usize];
+        for link in &self.live {
+            let cap = *capacities
+                .get(link.id as usize)
+                .unwrap_or_else(|| panic!("path references unknown link {}", link.id));
             assert!(
                 cap > 0.0 && cap.is_finite(),
                 "link capacities must be positive and finite"
             );
-            self.link_dense[l as usize] = d as u32;
             self.remaining.push(cap);
+            self.load.push(link.hops.len() as u32);
         }
 
-        // Translate the flow CSR to dense ids and count link loads.
-        for l in &mut self.path_flat {
-            let d = self.link_dense[*l as usize];
-            self.load[d as usize] += 1;
-            *l = d;
-        }
-
-        // Pass 2: invert into the link CSR by counting sort (ascending
-        // flow order per link).
-        self.link_off.clear();
-        self.link_off.resize(num_active + 1, 0);
-        for &l in &self.path_flat {
-            self.link_off[l as usize + 1] += 1;
-        }
-        for l in 0..num_active {
-            self.link_off[l + 1] += self.link_off[l];
-        }
-        self.link_flows.clear();
-        self.link_flows.resize(self.path_flat.len(), 0);
-        {
-            let cursor = &mut self.round_links;
-            cursor.clear();
-            cursor.extend_from_slice(&self.link_off[..num_active]);
-            for f in 0..num_flows {
-                let (s, e) = (self.path_off[f] as usize, self.path_off[f + 1] as usize);
-                for &l in &self.path_flat[s..e] {
-                    let c = &mut cursor[l as usize];
-                    self.link_flows[*c as usize] = f as u32;
-                    *c += 1;
-                }
-            }
-        }
-
-        // Progressive filling over the active links only. Links outside
-        // `active` carry no flow, so the reference's scans skip them
-        // via the `load > 0` guard; restricting the loop to `active`
-        // removes them from the scan without changing a single
-        // floating-point operation.
+        // Every live link starts loaded; one whose load drops to zero
+        // leaves `open` at the next round's scan.
+        self.open.clear();
+        self.open.extend(0..self.live.len() as u32);
         while unfrozen_left > 0 {
             let mut best_share = f64::INFINITY;
-            for l in 0..num_active {
-                if self.load[l] > 0 {
-                    let share = self.remaining[l] / self.load[l] as f64;
-                    if share < best_share {
-                        best_share = share;
-                    }
+            self.shares.clear();
+            let mut kept = 0;
+            for i in 0..self.open.len() {
+                let pos = self.open[i];
+                let load = self.load[pos as usize];
+                if load == 0 {
+                    continue;
                 }
+                let share = self.remaining[pos as usize] / load as f64;
+                if share < best_share {
+                    best_share = share;
+                }
+                self.open[kept] = pos;
+                self.shares.push(share);
+                kept += 1;
             }
+            self.open.truncate(kept);
             debug_assert!(best_share.is_finite(), "no bottleneck among loaded links");
+            // The bottleneck links are judged on the shares taken before
+            // this round froze anything, as in the reference.
             let tol = best_share * 1e-12;
-            self.round_links.clear();
-            for l in 0..num_active {
-                if self.load[l] > 0 && self.remaining[l] / self.load[l] as f64 <= best_share + tol {
-                    self.round_links.push(l as u32);
+            for (&pos, &share) in self.open.iter().zip(&self.shares) {
+                if share > best_share + tol {
+                    continue;
                 }
-            }
-            for i in 0..self.round_links.len() {
-                let l = self.round_links[i] as usize;
-                let (s, e) = (self.link_off[l] as usize, self.link_off[l + 1] as usize);
-                for j in s..e {
-                    let f = self.link_flows[j] as usize;
+                for &entry in &self.live[pos as usize].hops {
+                    let f = (entry >> HOP_BITS) as usize;
                     if self.frozen[f] {
                         continue;
                     }
                     self.frozen[f] = true;
                     rates[f] = best_share;
                     unfrozen_left -= 1;
-                    let (ps, pe) = (self.path_off[f] as usize, self.path_off[f + 1] as usize);
-                    for &pl in &self.path_flat[ps..pe] {
-                        let r = &mut self.remaining[pl as usize];
-                        *r = (*r - best_share).max(0.0);
-                        self.load[pl as usize] -= 1;
+                    let route = &self.routes[f];
+                    for &link in &route.links[..route.len as usize] {
+                        let q = self.live_pos[link as usize] as usize;
+                        self.remaining[q] = (self.remaining[q] - best_share).max(0.0);
+                        self.load[q] -= 1;
                     }
                 }
             }
@@ -457,11 +532,28 @@ mod tests {
         rates.iter().map(|r| r.to_bits()).collect()
     }
 
+    /// An incidence holding `paths`, in slot order.
+    fn incidence_of(paths: &[Vec<u32>]) -> FlowIncidence {
+        let mut incidence = FlowIncidence::new();
+        for path in paths {
+            incidence.push(path);
+        }
+        incidence
+    }
+
+    /// Paths in the reference's `usize` link ids.
+    fn widen(paths: &[Vec<u32>]) -> Vec<Vec<usize>> {
+        paths
+            .iter()
+            .map(|p| p.iter().map(|&l| l as usize).collect())
+            .collect()
+    }
+
     #[test]
     fn sparse_matches_dense_bit_for_bit() {
         // The contended mesh of `workspace_matches_reference_bit_for_bit`
         // spread over a huge capacity vector where almost every link is
-        // untouched: the sparse path must match the dense reference scan
+        // untouched: the incidence must match the reference's dense scan
         // exactly.
         let mut caps = vec![3.3 * GBPS; 4096];
         for (l, c) in [
@@ -490,70 +582,80 @@ mod tests {
             vec![],
         ];
         let reference = max_min_rates_ref(&caps, &widen(&paths));
-        let mut ws = FairshareWorkspace::new();
-        let mut sparse = Vec::new();
-        ws.compute_sparse(&caps, &paths, &mut sparse);
-        assert_eq!(bits(&sparse), bits(&reference));
-    }
-
-    /// Paths in the reference's `usize` link ids.
-    fn widen(paths: &[Vec<u32>]) -> Vec<Vec<usize>> {
-        paths
-            .iter()
-            .map(|p| p.iter().map(|&l| l as usize).collect())
-            .collect()
+        let mut rates = Vec::new();
+        incidence_of(&paths).compute(&caps, &mut rates);
+        assert_eq!(bits(&rates), bits(&reference));
     }
 
     #[test]
     fn sparse_never_reads_untouched_capacities() {
-        // Untouched links may carry garbage capacities (NaN, zero):
-        // the sparse path must not inspect them.
+        // Untouched links may carry garbage capacities (NaN, zero,
+        // negative): the incidence must not inspect them.
         let caps = [GBPS, f64::NAN, 0.0, -5.0, 0.5 * GBPS];
         let paths: Vec<Vec<u32>> = vec![vec![0, 4], vec![4]];
-        let mut ws = FairshareWorkspace::new();
+        let mut incidence = incidence_of(&paths);
         let mut rates = Vec::new();
-        ws.compute_sparse(&caps, &paths, &mut rates);
+        incidence.compute(&caps, &mut rates);
         let expected = max_min_rates_ref(&[GBPS, GBPS, GBPS, GBPS, 0.5 * GBPS], &widen(&paths));
+        assert_eq!(bits(&rates), bits(&expected));
+        // A link that was live and emptied is untouched again.
+        incidence.push(&[2]);
+        incidence.swap_remove(2);
+        incidence.compute(&caps, &mut rates);
         assert_eq!(bits(&rates), bits(&expected));
     }
 
     #[test]
     fn sparse_reuse_is_clean_across_calls_and_epochs() {
-        let mut ws = FairshareWorkspace::new();
+        let mut incidence = incidence_of(&[vec![0, 1], vec![1]]);
         let mut rates = Vec::new();
-        ws.compute_sparse(&[GBPS, 0.5 * GBPS], &[vec![0u32, 1], vec![1]], &mut rates);
+        incidence.compute(&[GBPS, 0.5 * GBPS], &mut rates);
         let first = rates.clone();
         // A different problem over a larger link space.
-        ws.compute_sparse(&vec![GBPS; 64], &[vec![63u32]], &mut rates);
+        incidence.swap_remove(0);
+        incidence.swap_remove(0);
+        incidence.push(&[63]);
+        incidence.compute(&vec![GBPS; 64], &mut rates);
         assert_eq!(rates, vec![GBPS]);
-        // Shrinking back must not see stale dense mappings.
-        ws.compute_sparse(&[GBPS, 0.5 * GBPS], &[vec![0u32, 1], vec![1]], &mut rates);
+        // Shrinking back must not see stale live links.
+        incidence.swap_remove(0);
+        incidence.push(&[0, 1]);
+        incidence.push(&[1]);
+        incidence.compute(&[GBPS, 0.5 * GBPS], &mut rates);
         assert_eq!(rates, first);
         // No flows at all.
-        ws.compute_sparse(&[GBPS], core::iter::empty::<&[u32]>(), &mut rates);
+        incidence.swap_remove(1);
+        incidence.swap_remove(0);
+        assert!(incidence.is_empty());
+        incidence.compute(&[GBPS], &mut rates);
         assert!(rates.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "unknown link")]
     fn sparse_rejects_unknown_link() {
-        let mut ws = FairshareWorkspace::new();
         let mut rates = Vec::new();
-        ws.compute_sparse(&[GBPS], &[vec![3u32]], &mut rates);
+        incidence_of(&[vec![3]]).compute(&[GBPS], &mut rates);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn sparse_rejects_zero_capacity_on_touched_link() {
-        let mut ws = FairshareWorkspace::new();
         let mut rates = Vec::new();
-        ws.compute_sparse(&[0.0], &[vec![0u32]], &mut rates);
+        incidence_of(&[vec![0]]).compute(&[0.0], &mut rates);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 links")]
+    fn rejects_route_longer_than_max_hops() {
+        FlowIncidence::new().push(&[0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn workspace_reuse_is_clean_across_calls() {
-        // One dirty workspace across problems whose link counts grow and
-        // shrink must reproduce the reference on each of them.
+        // One dirty incidence across problems whose link counts grow and
+        // shrink must reproduce the reference on each of them. Emptying
+        // it from the front relabels a moved flow on every removal.
         let problems: Vec<(Vec<f64>, Vec<Vec<u32>>)> = vec![
             (vec![GBPS, 0.5 * GBPS], vec![vec![0, 1], vec![1]]),
             (vec![GBPS], vec![vec![0]]),
@@ -563,10 +665,16 @@ mod tests {
             ),
             (vec![GBPS, 0.5 * GBPS], vec![vec![0, 1], vec![1]]),
         ];
-        let mut ws = FairshareWorkspace::new();
+        let mut incidence = FlowIncidence::new();
         let mut rates = vec![99.0; 7];
         for (caps, paths) in &problems {
-            ws.compute_sparse(caps, paths, &mut rates);
+            while !incidence.is_empty() {
+                incidence.swap_remove(0);
+            }
+            for path in paths {
+                incidence.push(path);
+            }
+            incidence.compute(caps, &mut rates);
             assert_eq!(bits(&rates), bits(&max_min_rates_ref(caps, &widen(paths))));
         }
     }

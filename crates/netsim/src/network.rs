@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use simkit::time::{SimDuration, SimTime};
 
-use crate::fairshare::FairshareWorkspace;
+use crate::fairshare::{FlowIncidence, MAX_HOPS};
 
 /// Identifies an active or finished flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -83,50 +83,32 @@ impl FlowStats {
     }
 }
 
-/// A flow's route, stored inline: every route in the two-level tree is
-/// at most 4 links (`src NIC up, src rack up, dst rack down, dst NIC
-/// down`), so no heap allocation is ever needed.
-#[derive(Clone, Copy, Debug)]
-struct Path {
-    len: u8,
-    links: [u32; 4],
-}
-
-impl Path {
-    const EMPTY: Path = Path {
-        len: 0,
-        links: [0; 4],
-    };
-
-    fn of(links: &[usize]) -> Path {
-        let mut p = Path::EMPTY;
-        for &l in links {
-            p.links[p.len as usize] = u32::try_from(l).expect("link index fits u32");
-            p.len += 1;
-        }
-        p
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        &self.links[..self.len as usize]
-    }
-}
-
-impl AsRef<[u32]> for Path {
-    fn as_ref(&self) -> &[u32] {
-        self.as_slice()
-    }
-}
-
 /// A flow's route as the flow event log exposes it: the link indices the
-/// flow traverses (empty for loopback).
+/// flow traverses (empty for loopback). Stored inline: every route in
+/// the two-level tree is at most [`MAX_HOPS`] links (`src NIC up, src
+/// rack up, dst rack down, dst NIC down`), so no heap allocation is
+/// ever needed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRoute {
     len: u8,
-    links: [u32; 4],
+    links: [u32; MAX_HOPS],
 }
 
 impl FlowRoute {
+    const LOOPBACK: FlowRoute = FlowRoute {
+        len: 0,
+        links: [0; MAX_HOPS],
+    };
+
+    fn of(links: &[usize]) -> FlowRoute {
+        let mut route = FlowRoute::LOOPBACK;
+        for &l in links {
+            route.links[route.len as usize] = u32::try_from(l).expect("link index fits u32");
+            route.len += 1;
+        }
+        route
+    }
+
     /// The traversed link indices.
     pub fn as_slice(&self) -> &[u32] {
         &self.links[..self.len as usize]
@@ -179,7 +161,6 @@ struct ActiveFlow {
     bytes: u64,
     remaining_bits: f64,
     rate_bps: f64,
-    path: Path,
     started: SimTime,
 }
 
@@ -232,9 +213,11 @@ pub struct Network {
     /// untraced runs.
     flow_log: Option<Vec<FlowLogEntry>>,
     rack_bps: f64,
-    /// Reused scratch for rate reallocation — flows start/finish on
-    /// every simulated transfer, so this path must not allocate.
-    fairshare: FairshareWorkspace,
+    /// The flow↔link incidence for rate reallocation, kept slot-aligned
+    /// with `flows` (same pushes, same swap-removes) so that flows
+    /// start and finish on every simulated transfer without rebuilding
+    /// it or allocating.
+    incidence: FlowIncidence,
     rates_buf: Vec<f64>,
 }
 
@@ -278,7 +261,7 @@ impl Network {
             utilization_log: None,
             flow_log: None,
             rack_bps: config.rack_bps as f64,
-            fairshare: FairshareWorkspace::new(),
+            incidence: FlowIncidence::new(),
             rates_buf: Vec::new(),
         }
     }
@@ -306,13 +289,13 @@ impl Network {
         }
     }
 
-    /// Drains the accumulated flow log entries, in the order they were
-    /// recorded. Returns an empty vector unless
-    /// [`Network::enable_flow_log`] was called.
-    pub fn take_flow_log(&mut self) -> Vec<FlowLogEntry> {
-        match &mut self.flow_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
+    /// Drains the accumulated flow log entries into `f`, in the order
+    /// they were recorded; does nothing unless
+    /// [`Network::enable_flow_log`] was called. The log keeps its
+    /// capacity, so a traced event loop allocates nothing here.
+    pub fn drain_flow_log(&mut self, mut f: impl FnMut(FlowLogEntry)) {
+        if let Some(log) = &mut self.flow_log {
+            log.drain(..).for_each(&mut f);
         }
     }
 
@@ -342,20 +325,20 @@ impl Network {
         Some((flow.src, flow.dst))
     }
 
-    fn path_for(&self, src: usize, dst: usize) -> Path {
+    fn route_for(&self, src: usize, dst: usize) -> FlowRoute {
         assert!(
             src < self.num_nodes() && dst < self.num_nodes(),
             "unknown node"
         );
         if src == dst {
-            return Path::EMPTY; // loopback: no network traversal
+            return FlowRoute::LOOPBACK; // no network traversal
         }
         let n = self.num_nodes();
         let (sr, dr) = (self.node_rack[src], self.node_rack[dst]);
         if sr == dr {
-            Path::of(&[2 * src, 2 * dst + 1])
+            FlowRoute::of(&[2 * src, 2 * dst + 1])
         } else {
-            Path::of(&[2 * src, 2 * n + 2 * sr, 2 * n + 2 * dr + 1, 2 * dst + 1])
+            FlowRoute::of(&[2 * src, 2 * n + 2 * sr, 2 * n + 2 * dr + 1, 2 * dst + 1])
         }
     }
 
@@ -365,7 +348,7 @@ impl Network {
     fn push_flow(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let path = self.path_for(src, dst);
+        let route = self.route_for(src, dst);
         if let Some(log) = &mut self.flow_log {
             log.push(FlowLogEntry {
                 at: now,
@@ -374,14 +357,12 @@ impl Network {
                     src,
                     dst,
                     bytes,
-                    route: FlowRoute {
-                        len: path.len,
-                        links: path.links,
-                    },
+                    route,
                 },
             });
         }
         self.index_of.insert(id, self.flows.len());
+        self.incidence.push(route.as_slice());
         self.flows.push(ActiveFlow {
             id,
             src,
@@ -389,7 +370,6 @@ impl Network {
             bytes,
             remaining_bits: (bytes as f64) * 8.0,
             rate_bps: 0.0,
-            path,
             started: now,
         });
         id
@@ -433,6 +413,7 @@ impl Network {
         self.advance_to(now);
         let idx = self.index_of.remove(&id)?;
         let flow = self.flows.swap_remove(idx);
+        self.incidence.swap_remove(idx);
         if let Some(moved) = self.flows.get(idx) {
             self.index_of.insert(moved.id, idx);
         }
@@ -482,6 +463,7 @@ impl Network {
         while i < self.flows.len() {
             if self.flows[i].remaining_bits <= DONE_EPS_BITS {
                 let flow = self.flows.swap_remove(i);
+                self.incidence.swap_remove(i);
                 self.index_of.remove(&flow.id);
                 if let Some(moved) = self.flows.get(i) {
                     self.index_of.insert(moved.id, i);
@@ -526,15 +508,15 @@ impl Network {
         if dt > 0.0 {
             let mut rack_down_bits = 0.0f64;
             let n = self.num_nodes();
-            for flow in &mut self.flows {
+            for (slot, flow) in self.flows.iter_mut().enumerate() {
                 if flow.rate_bps.is_infinite() {
                     flow.remaining_bits = 0.0;
                 } else {
                     flow.remaining_bits = (flow.remaining_bits - flow.rate_bps * dt).max(0.0);
                     if self.utilization_log.is_some()
-                        && flow
-                            .path
-                            .as_slice()
+                        && self
+                            .incidence
+                            .links(slot)
                             .iter()
                             .any(|&l| l as usize >= 2 * n && l % 2 == 1)
                     {
@@ -555,15 +537,13 @@ impl Network {
     }
 
     fn reallocate(&mut self, now: SimTime) {
-        // Bounded recompute: only the links current flows cross are
-        // touched, which keeps per-event reallocation independent of
-        // the topology's total link count (bit-identical to the dense
-        // `compute`; see fairshare module docs).
-        self.fairshare.compute_sparse(
-            &self.capacities,
-            self.flows.iter().map(|f| &f.path),
-            &mut self.rates_buf,
-        );
+        // Only the links current flows cross are touched, which keeps
+        // per-event reallocation independent of the topology's total
+        // link count (bit-identical to `max_min_rates_ref`; see the
+        // fairshare module docs). `rates_buf[i]` is the rate of
+        // `flows[i]`: the incidence's slots follow the same order.
+        self.incidence
+            .compute(&self.capacities, &mut self.rates_buf);
         let mut earliest: Option<SimTime> = None;
         for (flow, &rate) in self.flows.iter_mut().zip(self.rates_buf.iter()) {
             // Fairshare rates are a deterministic function of the flow
@@ -832,12 +812,19 @@ mod flow_log_tests {
 
     const BLOCK: u64 = 128 * 1024 * 1024;
 
+    /// Everything logged since the last drain.
+    fn take(net: &mut Network) -> Vec<FlowLogEntry> {
+        let mut entries = Vec::new();
+        net.drain_flow_log(|e| entries.push(e));
+        entries
+    }
+
     #[test]
     fn logs_full_flow_lifecycle() {
         let mut net = Network::new(&[2, 2], NetConfig::uniform(100_000_000));
         net.enable_flow_log();
         let a = net.start_flow(SimTime::ZERO, 0, 2, BLOCK);
-        let entries = net.take_flow_log();
+        let entries = take(&mut net);
         assert_eq!(entries.len(), 2, "{entries:?}");
         match entries[0].kind {
             FlowLogKind::Started {
@@ -858,7 +845,7 @@ mod flow_log_tests {
         );
         let done = net.next_completion().unwrap();
         net.complete_flows(done);
-        let entries = net.take_flow_log();
+        let entries = take(&mut net);
         assert_eq!(
             entries,
             vec![FlowLogEntry {
@@ -868,7 +855,7 @@ mod flow_log_tests {
             }]
         );
         // Drained: nothing left.
-        assert!(net.take_flow_log().is_empty());
+        assert!(take(&mut net).is_empty());
     }
 
     #[test]
@@ -876,10 +863,10 @@ mod flow_log_tests {
         let mut net = Network::new(&[2, 1], NetConfig::uniform(100_000_000));
         net.enable_flow_log();
         let a = net.start_flow(SimTime::ZERO, 2, 0, BLOCK);
-        net.take_flow_log();
+        take(&mut net);
         // Second flow shares the rack downlink: both drop to half rate.
         net.start_flow(SimTime::from_secs(2), 2, 1, BLOCK);
-        let entries = net.take_flow_log();
+        let entries = take(&mut net);
         let a_changes: Vec<f64> = entries
             .iter()
             .filter_map(|e| match e.kind {
@@ -895,9 +882,9 @@ mod flow_log_tests {
         let mut net = Network::new(&[1, 1], NetConfig::gigabit());
         net.enable_flow_log();
         let a = net.start_flow(SimTime::ZERO, 0, 1, BLOCK);
-        net.take_flow_log();
+        take(&mut net);
         net.cancel_flow(SimTime::from_millis(10), a);
-        let entries = net.take_flow_log();
+        let entries = take(&mut net);
         assert_eq!(entries.len(), 1);
         assert!(matches!(
             entries[0].kind,
@@ -910,7 +897,7 @@ mod flow_log_tests {
         let mut net = Network::new(&[2], NetConfig::gigabit());
         net.enable_flow_log();
         net.start_flow(SimTime::ZERO, 1, 1, BLOCK);
-        let entries = net.take_flow_log();
+        let entries = take(&mut net);
         assert_eq!(entries.len(), 1, "{entries:?}");
         assert!(matches!(entries[0].kind, FlowLogKind::Started { route, .. }
             if route.as_slice().is_empty()));
@@ -920,7 +907,7 @@ mod flow_log_tests {
     fn disabled_log_returns_empty() {
         let mut net = Network::new(&[1, 1], NetConfig::gigabit());
         net.start_flow(SimTime::ZERO, 0, 1, 1_000);
-        assert!(net.take_flow_log().is_empty());
+        assert!(take(&mut net).is_empty());
     }
 }
 

@@ -2,7 +2,7 @@
 //! max-min optimality of rate allocations, byte conservation, and
 //! monotonicity of completion under contention.
 
-use netsim::fairshare::{max_min_rates, max_min_rates_ref, FairshareWorkspace};
+use netsim::fairshare::{max_min_rates, max_min_rates_ref, FlowIncidence, MAX_HOPS};
 use netsim::{NetConfig, Network};
 use proptest::prelude::*;
 use simkit::time::SimTime;
@@ -13,6 +13,40 @@ fn random_paths(num_links: usize, max_flows: usize) -> impl Strategy<Value = Vec
         0..max_flows,
     )
     .prop_map(|flows| flows.into_iter().map(|s| s.into_iter().collect()).collect())
+}
+
+/// Rates as bit patterns, so comparisons are exact.
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|r| r.to_bits()).collect()
+}
+
+/// An incidence holding `paths`, in slot order.
+fn incidence_of(paths: &[Vec<usize>]) -> FlowIncidence {
+    let mut incidence = FlowIncidence::new();
+    for path in paths {
+        let links: Vec<u32> = path.iter().map(|&l| l as u32).collect();
+        incidence.push(&links);
+    }
+    incidence
+}
+
+/// One step of a flow set's life.
+#[derive(Clone, Debug)]
+enum Op {
+    /// A flow starts over these links (reduced modulo the link count).
+    Start(Vec<usize>),
+    /// The flow in slot `pick % len` is cancelled.
+    Cancel(usize),
+    /// A forward scan finishes the flows whose bit in the mask is set.
+    Finish(u64),
+}
+
+fn op(num_links: usize) -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => proptest::collection::vec(0..num_links, 0..=MAX_HOPS).prop_map(Op::Start),
+        2 => any::<usize>().prop_map(Op::Cancel),
+        1 => any::<u64>().prop_map(Op::Finish),
+    ]
 }
 
 proptest! {
@@ -92,25 +126,20 @@ proptest! {
         for _ in 0..loopbacks {
             paths.push(Vec::new());
         }
-        let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
         let ref_bits = bits(&max_min_rates_ref(&caps, &paths));
         prop_assert_eq!(&ref_bits, &bits(&max_min_rates(&caps, &paths)));
-        // A reused (dirty) workspace must agree too, while the link
-        // count grows and shrinks between calls.
+        // A reused (dirty) incidence must agree too, while the capacity
+        // vector grows and shrinks between calls.
         let mut wider = caps.clone();
         wider.extend(std::iter::repeat_n(3.3e9, pad_links));
         let wider_bits = bits(&max_min_rates_ref(&wider, &paths));
-        let paths32: Vec<Vec<u32>> = paths
-            .iter()
-            .map(|p| p.iter().map(|&l| l as u32).collect())
-            .collect();
-        let mut ws = FairshareWorkspace::new();
+        let mut incidence = incidence_of(&paths);
         let mut rates = Vec::new();
-        ws.compute_sparse(&wider, &paths32, &mut rates);
+        incidence.compute(&wider, &mut rates);
         prop_assert_eq!(&wider_bits, &bits(&rates));
-        ws.compute_sparse(&caps, &paths32, &mut rates);
+        incidence.compute(&caps, &mut rates);
         prop_assert_eq!(&ref_bits, &bits(&rates));
-        ws.compute_sparse(&wider, &paths32, &mut rates);
+        incidence.compute(&wider, &mut rates);
         prop_assert_eq!(&wider_bits, &bits(&rates));
     }
 
@@ -121,10 +150,9 @@ proptest! {
         loopbacks in 0usize..3,
         pad_links in 0usize..512,
     ) {
-        // The bounded-recompute (sparse) allocator must reproduce the
-        // reference exactly even when the capacity vector is mostly
-        // untouched padding — same freeze rounds, same floating-point
-        // operations, bit-identical rates.
+        // The incidence must reproduce the reference exactly even when
+        // the capacity vector is mostly untouched padding — same freeze
+        // rounds, same floating-point operations, bit-identical rates.
         let num_real = caps.len();
         let mut caps = caps;
         caps.extend(std::iter::repeat_n(7.7e9, pad_links));
@@ -135,21 +163,70 @@ proptest! {
         for _ in 0..loopbacks {
             paths.push(Vec::new());
         }
-        let reference = max_min_rates_ref(&caps, &paths);
-        let ref_bits: Vec<u64> = reference.iter().map(|r| r.to_bits()).collect();
-        let paths32: Vec<Vec<u32>> = paths
-            .iter()
-            .map(|p| p.iter().map(|&l| l as u32).collect())
-            .collect();
-        // A reused (dirty) workspace must agree too, across epochs.
-        let mut ws = FairshareWorkspace::new();
+        let ref_bits = bits(&max_min_rates_ref(&caps, &paths));
+        // Computing twice on the same incidence must agree too.
+        let mut incidence = incidence_of(&paths);
         let mut rates = Vec::new();
-        ws.compute_sparse(&caps, &paths32, &mut rates);
-        ws.compute_sparse(&caps, &paths32, &mut rates);
-        prop_assert_eq!(
-            &ref_bits,
-            &rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
+        incidence.compute(&caps, &mut rates);
+        incidence.compute(&caps, &mut rates);
+        prop_assert_eq!(&ref_bits, &bits(&rates));
+    }
+
+    #[test]
+    fn incidence_tracks_reference_through_starts_cancels_and_finishes(
+        caps in proptest::collection::vec(1e6f64..1e10, 1..8),
+        pad_links in 0usize..64,
+        ops in proptest::collection::vec(op(8), 1..60),
+    ) {
+        // Starts push a flow; a cancel swap-removes one slot; a finish
+        // swap-removes a subset while scanning forward, as
+        // `Network::drain_finished` does. Paths may repeat a link or be
+        // empty (loopback), and the few links are emptied and reused.
+        // After every operation the rates must equal the reference on
+        // the current flow set, bit for bit.
+        let num_real = caps.len();
+        let mut caps = caps;
+        caps.extend(std::iter::repeat_n(7.7e9, pad_links));
+        let mut incidence = FlowIncidence::new();
+        let mut paths: Vec<Vec<usize>> = Vec::new();
+        let mut rates = Vec::new();
+        for op in ops {
+            match op {
+                Op::Start(path) => {
+                    let path: Vec<usize> = path.into_iter().map(|l| l % num_real).collect();
+                    let links: Vec<u32> = path.iter().map(|&l| l as u32).collect();
+                    incidence.push(&links);
+                    paths.push(path);
+                }
+                Op::Cancel(pick) => {
+                    if !paths.is_empty() {
+                        let slot = pick % paths.len();
+                        incidence.swap_remove(slot);
+                        paths.swap_remove(slot);
+                    }
+                }
+                Op::Finish(mask) => {
+                    let mut i = 0;
+                    let mut seen = 0u32;
+                    while i < paths.len() {
+                        if mask >> (seen % 64) & 1 == 1 {
+                            incidence.swap_remove(i);
+                            paths.swap_remove(i);
+                        } else {
+                            i += 1;
+                        }
+                        seen += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(incidence.len(), paths.len());
+            for (slot, path) in paths.iter().enumerate() {
+                let links: Vec<usize> = incidence.links(slot).iter().map(|&l| l as usize).collect();
+                prop_assert_eq!(&links, path);
+            }
+            incidence.compute(&caps, &mut rates);
+            prop_assert_eq!(bits(&rates), bits(&max_min_rates_ref(&caps, &paths)));
+        }
     }
 
     #[test]

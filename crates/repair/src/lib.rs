@@ -245,11 +245,7 @@ fn flow_log_event(entry: &netsim::FlowLogEntry) -> SimEvent {
 
 /// Forwards any buffered flow-log entries of `net` into `rec`.
 fn drain_flow_log(net: &mut Network, rec: &mut Recorder<'_>) {
-    if rec.is_enabled() {
-        for entry in net.take_flow_log() {
-            rec.emit(entry.at, || flow_log_event(&entry));
-        }
-    }
+    net.drain_flow_log(|entry| rec.emit(entry.at, || flow_log_event(&entry)));
 }
 
 /// Executes a plan on the fluid network: at most `parallelism` block
