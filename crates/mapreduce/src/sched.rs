@@ -236,8 +236,8 @@ impl<'a> Heartbeat<'a> {
         let task = self.engine.jobs[job.index()].degraded_pool.pop()?;
         let slave = self.slave;
         self.engine.jobs[job.index()].launched_degraded += 1;
-        self.engine.jobs[job.index()].maps[task.0].locality = Some(MapLocality::Degraded);
-        self.engine.mark_assigned(job, task, slave);
+        self.engine
+            .mark_assigned(job, task, slave, MapLocality::Degraded);
         let rack = self.engine.topo.rack_of(slave);
         self.engine.last_degraded_assign[rack.index()] = Some(self.engine.now);
         self.assigned.push((job, task));
@@ -247,8 +247,7 @@ impl<'a> Heartbeat<'a> {
     fn claim_normal(&mut self, job: JobId, task: MapTaskId, locality: MapLocality) {
         let slave = self.slave;
         self.engine.jobs[job.index()].unassigned_normal -= 1;
-        self.engine.jobs[job.index()].maps[task.0].locality = Some(locality);
-        self.engine.mark_assigned(job, task, slave);
+        self.engine.mark_assigned(job, task, slave, locality);
         self.assigned.push((job, task));
     }
 }
