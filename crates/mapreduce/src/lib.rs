@@ -68,6 +68,7 @@
 //! assert_eq!(result.jobs.len(), 1);
 //! ```
 
+mod attempt;
 pub mod engine;
 pub mod job;
 pub mod metrics;
