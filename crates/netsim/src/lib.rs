@@ -23,8 +23,9 @@
 //! let now = SimTime::ZERO;
 //! let f = net.start_flow(now, 0, 2, 128 * 1024 * 1024); // cross-rack
 //! let done_at = net.next_completion().unwrap();
-//! let finished = net.complete_flows(done_at);
-//! assert_eq!(finished, vec![f]);
+//! let finished = net.drain_finished(done_at);
+//! assert_eq!(finished.len(), 1);
+//! assert_eq!(finished[0].0, f);
 //! ```
 
 pub mod fairshare;

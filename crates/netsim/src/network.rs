@@ -442,16 +442,7 @@ impl Network {
     }
 
     /// Advances the fluid model to `now` and removes every flow that has
-    /// finished, returning their stats in deterministic (start) order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the last network update.
-    pub fn complete_flows(&mut self, now: SimTime) -> Vec<FlowId> {
-        self.drain_finished(now).into_iter().map(|s| s.0).collect()
-    }
-
-    /// Like [`Network::complete_flows`] but returning full stats.
+    /// finished, returning their ids and stats in deterministic order.
     ///
     /// # Panics
     ///
@@ -599,7 +590,7 @@ mod tests {
         net.start_flow(SimTime::ZERO, 0, 3, BLOCK);
         let done = net.next_completion().unwrap();
         assert!((secs(done) - 10.74).abs() < 0.01, "{}", secs(done));
-        assert_eq!(net.complete_flows(done).len(), 1);
+        assert_eq!(net.drain_finished(done).len(), 1);
         assert_eq!(net.active_flows(), 0);
     }
 
@@ -614,7 +605,7 @@ mod tests {
         assert_eq!(net.flow_endpoints(a), None);
         assert_eq!(net.flow_endpoints(b), Some((4, 1)));
         let done = net.next_completion().unwrap();
-        net.complete_flows(done);
+        net.drain_finished(done);
         assert_eq!(net.flow_endpoints(b), None);
     }
 
@@ -629,7 +620,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!((secs(done) - 2.0 * 10.74).abs() < 0.05, "{}", secs(done));
         // Both finish together (equal shares of the rack downlink).
-        assert_eq!(net.complete_flows(done).len(), 2);
+        assert_eq!(net.drain_finished(done).len(), 2);
     }
 
     #[test]
@@ -641,7 +632,7 @@ mod tests {
                                                     // at full speed.
         let done = net.next_completion().unwrap();
         assert!((secs(done) - 10.74).abs() < 0.01, "{}", secs(done));
-        assert_eq!(net.complete_flows(done).len(), 2);
+        assert_eq!(net.drain_finished(done).len(), 2);
     }
 
     #[test]
@@ -657,8 +648,9 @@ mod tests {
         let b = net.start_flow(t1, 2, 1, BLOCK);
         // A has ~5.74s of work left at full rate, so ~11.48s shared.
         let done_a = net.next_completion().unwrap();
-        let finished = net.complete_flows(done_a);
-        assert_eq!(finished, vec![a]);
+        let finished = net.drain_finished(done_a);
+        assert_eq!(finished[0].0, a);
+        assert_eq!(finished.len(), 1);
         assert!(
             (secs(done_a) - (5.0 + 11.48)).abs() < 0.05,
             "{}",
@@ -671,7 +663,9 @@ mod tests {
             (t_b_total - (11.48 + (10.74 - 11.48 / 2.0))).abs() < 0.1,
             "{t_b_total}"
         );
-        assert_eq!(net.complete_flows(done_b), vec![b]);
+        let finished = net.drain_finished(done_b);
+        assert_eq!(finished[0].0, b);
+        assert_eq!(finished.len(), 1);
     }
 
     #[test]
@@ -716,7 +710,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         // 4 blocks through a single 100 Mbps NIC: ~4 * 10.74.
         assert!((secs(done) - 4.0 * 10.74).abs() < 0.1, "{}", secs(done));
-        assert_eq!(net.complete_flows(done).len(), 4);
+        assert_eq!(net.drain_finished(done).len(), 4);
     }
 
     #[test]
@@ -755,7 +749,8 @@ mod tests {
         let a = net.start_flow(SimTime::ZERO, 2, 0, BLOCK);
         let b = net.start_flow(SimTime::ZERO, 3, 1, BLOCK);
         let done = net.next_completion().unwrap();
-        assert_eq!(net.complete_flows(done), vec![a, b]);
+        let ids: Vec<FlowId> = net.drain_finished(done).iter().map(|f| f.0).collect();
+        assert_eq!(ids, vec![a, b]);
     }
 }
 
@@ -770,7 +765,7 @@ mod utilization_tests {
         // One cross-rack flow saturating rack1's downlink for ~10.7s.
         net.start_flow(SimTime::ZERO, 0, 2, 128 * 1024 * 1024);
         let done = net.next_completion().unwrap();
-        net.complete_flows(done);
+        net.drain_finished(done);
         let log = net.utilization_log();
         assert!(!log.is_empty());
         let total_bits: f64 = log.iter().map(|s| s.rack_down_bits).sum();
@@ -791,7 +786,7 @@ mod utilization_tests {
         net.enable_utilization_log();
         net.start_flow(SimTime::ZERO, 0, 1, 1_000_000); // same rack
         let done = net.next_completion().unwrap();
-        net.complete_flows(done);
+        net.drain_finished(done);
         let total: f64 = net.utilization_log().iter().map(|s| s.rack_down_bits).sum();
         assert_eq!(total, 0.0);
     }
@@ -801,7 +796,7 @@ mod utilization_tests {
         let mut net = Network::new(&[1, 1], NetConfig::gigabit());
         net.start_flow(SimTime::ZERO, 0, 1, 1_000);
         let done = net.next_completion().unwrap();
-        net.complete_flows(done);
+        net.drain_finished(done);
         assert!(net.utilization_log().is_empty());
     }
 }
@@ -844,7 +839,7 @@ mod flow_log_tests {
             "{entries:?}"
         );
         let done = net.next_completion().unwrap();
-        net.complete_flows(done);
+        net.drain_finished(done);
         let entries = take(&mut net);
         assert_eq!(
             entries,
