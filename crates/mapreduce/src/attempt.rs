@@ -129,12 +129,8 @@ impl Engine {
             MapLocality::NodeLocal => self.input_ready(job, task, speculative, rec),
             MapLocality::RackLocal | MapLocality::Remote => {
                 let holder = self.jobs[job.index()].maps[task.0].holder;
-                let flow = self.net.start_flow(
-                    self.now,
-                    holder.index(),
-                    slave.index(),
-                    self.fetch_bytes(holder),
-                );
+                let spec = (holder.index(), slave.index(), self.fetch_bytes(holder));
+                let flow = self.net.start_flows(self.now, &[spec])[0];
                 self.flow_owner.insert(
                     flow,
                     FlowPurpose::MapFetch {
@@ -246,7 +242,6 @@ impl Engine {
                 }
             }
         }
-        self.refresh_net_check();
     }
 
     /// Registers an attempt's in-flight fetch flows. `pending` is the

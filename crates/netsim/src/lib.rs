@@ -10,7 +10,8 @@
 //! destination NIC), and rates are assigned by progressive filling
 //! (max-min fairness). Rates only change when a flow starts or ends, so
 //! between those instants progress is linear and completion times are
-//! exact.
+//! exact. Every start, cancel and completion at one instant is settled
+//! by a single reallocation, the next time rates are needed.
 //!
 //! # Example
 //!
@@ -21,11 +22,11 @@
 //! // Two racks of two nodes, 1 Gbps everywhere.
 //! let mut net = Network::new(&[2, 2], NetConfig::uniform(1_000_000_000));
 //! let now = SimTime::ZERO;
-//! let f = net.start_flow(now, 0, 2, 128 * 1024 * 1024); // cross-rack
+//! let flows = net.start_flows(now, &[(0, 2, 128 * 1024 * 1024)]); // cross-rack
 //! let done_at = net.next_completion().unwrap();
 //! let finished = net.drain_finished(done_at);
 //! assert_eq!(finished.len(), 1);
-//! assert_eq!(finished[0].0, f);
+//! assert_eq!(finished[0].0, flows[0]);
 //! ```
 
 pub mod fairshare;

@@ -301,7 +301,12 @@ pub enum SimEvent {
         /// Links the flow traverses (empty for loopback).
         links: LinkSet,
     },
-    /// The max-min fair share reallocation changed a flow's rate.
+    /// The max-min fair share reallocation changed a flow's rate. The
+    /// network reallocates once per batch of same-instant flow starts,
+    /// cancels and completions, so a flow gets at most one `flow_rate`
+    /// per reallocation, carrying the rate that holds after it; rates
+    /// that would have lasted zero time inside a batch are never
+    /// emitted.
     FlowRate {
         /// Flow id.
         flow: u64,

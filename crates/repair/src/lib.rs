@@ -343,13 +343,15 @@ fn simulate_inner(
             pos: task.block.pos as u32,
             replacement: task.replacement.0,
         });
-        let mut pending = 0usize;
-        for (_, holder) in task.network_sources() {
-            let flow = net.start_flow(now, holder.index(), task.replacement.index(), block_bytes);
+        let specs: Vec<(usize, usize, u64)> = task
+            .network_sources()
+            .map(|(_, holder)| (holder.index(), task.replacement.index(), block_bytes))
+            .collect();
+        for flow in net.start_flows(now, &specs) {
             flow_task.insert(flow, idx);
-            *bytes += block_bytes;
-            pending += 1;
         }
+        let pending = specs.len();
+        *bytes += block_bytes * pending as u64;
         inflight.insert(idx, pending);
         pending
     };

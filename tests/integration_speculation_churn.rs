@@ -129,7 +129,7 @@ fn backups_survive_and_die_with_their_primaries_under_churn() {
             575,
             1_003_093_552,
             0x808f_386d_acd0_d7fc,
-            0x3402_e2a3_6c4d_3593,
+            0xfafd_6cbc_db14_e7ba,
         ),
         (
             FetchPolicy::Redundant { extra: 2 },
@@ -137,7 +137,7 @@ fn backups_survive_and_die_with_their_primaries_under_churn() {
             501,
             839_090_026,
             0xbf5a_668d_dfac_5076,
-            0x8a27_c7dd_f59e_526e,
+            0x3fe0_117a_f66b_b08a,
         ),
     ];
     for (fetch, node, at, want_makespan, want_result, want_trace) in cases {
