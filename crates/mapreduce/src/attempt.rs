@@ -129,17 +129,18 @@ impl Engine {
             MapLocality::NodeLocal => self.input_ready(job, task, speculative, rec),
             MapLocality::RackLocal | MapLocality::Remote => {
                 let holder = self.jobs[job.index()].maps[task.0].holder;
-                let spec = (holder.index(), slave.index(), self.fetch_bytes(holder));
-                let flow = self.net.start_flows(self.now, &[spec])[0];
-                self.flow_owner.insert(
-                    flow,
+                let fetch = (
+                    holder.index(),
+                    slave.index(),
+                    fetch_bytes(self.cfg.block_bytes, self.speeds.disk[holder.index()]),
                     FlowPurpose::MapFetch {
                         job,
                         task,
                         speculative,
                     },
                 );
-                self.set_attempt_pending(job, task, speculative, vec![flow], 1);
+                let flows = self.net.start_tagged(self.now, [fetch]).collect();
+                self.set_attempt_pending(job, task, speculative, flows, 1);
             }
             MapLocality::Degraded => {
                 let block = self.jobs[job.index()].maps[task.0].block;
@@ -203,21 +204,17 @@ impl Engine {
                     speculative,
                     phase: DegradedPhase::FetchK,
                 });
-                let specs: Vec<(usize, usize, u64)> = plan
-                    .network_sources()
-                    .map(|(_, holder)| (holder.index(), slave.index(), self.fetch_bytes(holder)))
-                    .collect();
-                let flows = self.net.start_flows(self.now, &specs);
-                for &flow in &flows {
-                    self.flow_owner.insert(
-                        flow,
-                        FlowPurpose::MapFetch {
-                            job,
-                            task,
-                            speculative,
-                        },
-                    );
-                }
+                let purpose = FlowPurpose::MapFetch {
+                    job,
+                    task,
+                    speculative,
+                };
+                let (block_bytes, disk) = (self.cfg.block_bytes, &self.speeds.disk);
+                let fetches = plan.network_sources().map(|(_, holder)| {
+                    let bytes = fetch_bytes(block_bytes, disk[holder.index()]);
+                    (holder.index(), slave.index(), bytes, purpose)
+                });
+                let flows: Vec<FlowId> = self.net.start_tagged(self.now, fetches).collect();
                 // Decode needs `need` source blocks; local ones count
                 // immediately, so the quorum of *network* completions is
                 // the shortfall. Exact plans fetch precisely the quorum;
@@ -297,16 +294,13 @@ impl Engine {
         };
         flows.sort_unstable();
         for flow in flows {
-            if self.flow_owner.remove(&flow).is_none() {
-                continue;
-            }
             // An extra that completed at the same instant as the quorum
             // flow is still queued in the current drain batch: it already
             // delivered (and its log entry says so), so there is nothing
-            // to cancel — dropping ownership is enough to make its
-            // surplus completion a no-op. Only a flow the network really
-            // tears down mid-transfer counts as a cancel win.
-            if self.net.cancel_flow(self.now, flow).is_some() {
+            // to cancel — `cancel_flow` only drops its surplus
+            // completion. Only a flow the network really tears down
+            // mid-transfer counts as a cancel win.
+            if self.cancel_flow(flow) {
                 rec.emit(self.now, || SimEvent::FetchCancelled {
                     job: job.0,
                     task: task.0 as u32,
@@ -424,20 +418,6 @@ impl Engine {
             self.jobs[job.index()].maps[task.0].attempts[1] =
                 Some(Attempt::new(slave, locality, self.now));
             self.start_map_attempt(job, task, true, rec);
-        }
-    }
-
-    /// Bytes to request for a block fetch served by `holder`: a slow
-    /// disk (multiplier below 1) stretches the transfer by inflating
-    /// the effective size, which the fluid network model turns into a
-    /// proportionally longer service time. Shuffle flows are not
-    /// scaled — the heterogeneity models block-serving I/O contention.
-    fn fetch_bytes(&self, holder: NodeId) -> u64 {
-        let disk = self.speeds.disk[holder.index()];
-        if disk == 1.0 {
-            self.cfg.block_bytes
-        } else {
-            (self.cfg.block_bytes as f64 / disk).round() as u64
         }
     }
 
@@ -611,13 +591,11 @@ impl Engine {
         });
     }
 
+    /// Cancels the flows that are still in flight; a flow that has
+    /// already completed is skipped.
     pub(crate) fn cancel_attempt_flows(&mut self, flows: impl IntoIterator<Item = FlowId>) {
         for flow in flows {
-            // Guard: a flow may have completed (and been re-used for a
-            // later purpose) between bookkeeping and cancellation.
-            if self.flow_owner.remove(&flow).is_some() {
-                let _ = self.net.cancel_flow(self.now, flow);
-            }
+            self.cancel_flow(flow);
         }
     }
 
@@ -651,5 +629,19 @@ impl Engine {
                 degraded,
             });
         }
+    }
+}
+
+/// Bytes to request for a block fetch served by a holder whose disk
+/// runs at `disk` times the nominal speed: a slow disk (a multiplier
+/// below one) stretches the transfer by inflating the effective size,
+/// which the fluid network model turns into a proportionally longer
+/// service time. Shuffle flows are not scaled — the heterogeneity
+/// models block-serving I/O contention.
+fn fetch_bytes(block_bytes: u64, disk: f64) -> u64 {
+    if disk == 1.0 {
+        block_bytes
+    } else {
+        (block_bytes as f64 / disk).round() as u64
     }
 }

@@ -9,8 +9,6 @@
 //! process for a sampled duration, and feed shuffle flows to reducers;
 //! reducers process once every map's intermediate output has arrived.
 
-use std::collections::BTreeMap;
-
 use cluster::{
     ClusterState, FailureEventKind, FailureScenario, FailureTimeline, NodeId, NodeSpeeds,
     SpeedProfile, TimelineEvent, Topology,
@@ -635,7 +633,7 @@ impl<'a> EngineBuilder<'a> {
             })
             .collect();
 
-        let mut net = Network::new(&self.topo.rack_sizes(), self.config.net);
+        let mut net = Network::tagged(&self.topo.rack_sizes(), self.config.net);
         if self.config.log_network_utilization {
             net.enable_utilization_log();
         }
@@ -656,7 +654,7 @@ impl<'a> EngineBuilder<'a> {
             fifo: Vec::new(),
             free_map,
             free_reduce,
-            flow_owner: BTreeMap::new(),
+            drained: Vec::new(),
             last_degraded_assign: vec![None; num_racks],
             net_check: None,
             records: Vec::new(),
@@ -679,7 +677,8 @@ pub struct Engine {
     /// Per-node cpu/disk multipliers sampled from `cfg.node_speeds`.
     pub(crate) speeds: NodeSpeeds,
     pub(crate) rng: SimRng,
-    pub(crate) net: Network,
+    /// Every flow is tagged with what it carries.
+    pub(crate) net: Network<FlowPurpose>,
     pub(crate) cal: Calendar<Event>,
     pub(crate) now: SimTime,
     pub(crate) jobs: Vec<JobRt>,
@@ -689,7 +688,10 @@ pub struct Engine {
     pub(crate) fifo: Vec<JobId>,
     pub(crate) free_map: Vec<u32>,
     free_reduce: Vec<u32>,
-    pub(crate) flow_owner: BTreeMap<FlowId, FlowPurpose>,
+    /// The flows of the drain being handled, FlowId-sorted. A flow
+    /// cancelled while its completion waits here loses its purpose, so
+    /// the completion is skipped.
+    drained: Vec<(FlowId, Option<FlowPurpose>)>,
     pub(crate) last_degraded_assign: Vec<Option<SimTime>>,
     net_check: Option<(simkit::EventId, SimTime)>,
     records: Vec<TaskRecord>,
@@ -939,9 +941,12 @@ impl Engine {
 
     fn on_net_check(&mut self, rec: &mut Recorder<'_>) {
         self.net_check = None;
-        let finished = self.net.drain_finished(self.now);
-        for (flow, _stats) in finished {
-            let Some(purpose) = self.flow_owner.remove(&flow) else {
+        let drained = &mut self.drained;
+        self.net.drain_tagged(self.now, |flow, _, purpose| {
+            drained.push((flow, Some(purpose)))
+        });
+        for i in 0..self.drained.len() {
+            let Some(purpose) = self.drained[i].1 else {
                 continue;
             };
             match purpose {
@@ -952,8 +957,10 @@ impl Engine {
                 } => {
                     let ready = {
                         let a = self.jobs[job.index()].maps[task.0].attempt_mut(speculative);
-                        debug_assert!(a.pending_flows > 0);
-                        a.pending_flows -= 1;
+                        a.pending_flows = a
+                            .pending_flows
+                            .checked_sub(1)
+                            .expect("a fetch completion after its attempt's quorum");
                         a.pending_flows == 0
                     };
                     if ready {
@@ -979,7 +986,22 @@ impl Engine {
                 }
             }
         }
+        self.drained.clear();
         self.refresh_net_check();
+    }
+
+    /// Cancels an engine-owned flow; true if it was still in flight. A
+    /// flow whose completion waits in the drain being handled has
+    /// delivered already: it is not cancelled, but its completion is
+    /// dropped.
+    pub(crate) fn cancel_flow(&mut self, flow: FlowId) -> bool {
+        if self.net.cancel_tagged(self.now, flow).is_some() {
+            return true;
+        }
+        if let Ok(i) = self.drained.binary_search_by_key(&flow, |&(f, _)| f) {
+            self.drained[i].1 = None;
+        }
+        false
     }
 
     fn on_map_done(
@@ -1055,33 +1077,23 @@ impl Engine {
         // already processing or done — possible only when churn re-ran
         // this map — no longer need it, nor do ones that received a
         // previous copy.
-        let bytes = self.jobs[job.index()].shuffle_bytes_per_reducer(self.cfg.block_bytes);
-        let reducers: Vec<(usize, NodeId)> = self.jobs[job.index()]
+        let j = &self.jobs[job.index()];
+        let bytes = j.shuffle_bytes_per_reducer(self.cfg.block_bytes);
+        let shuffles = j
             .reduces
             .iter()
             .enumerate()
             .filter(|(_, r)| !r.done && !r.processing && !r.shuffled[task.0])
-            .filter_map(|(i, r)| r.assigned_to.map(|n| (i, n)))
-            .collect();
-        let specs: Vec<(usize, usize, u64)> = reducers
-            .iter()
-            .map(|&(_, rnode)| (node.index(), rnode.index(), bytes))
-            .collect();
-        for (flow, &(reduce, _)) in self
-            .net
-            .start_flows(self.now, &specs)
-            .into_iter()
-            .zip(&reducers)
-        {
-            self.flow_owner.insert(
-                flow,
-                FlowPurpose::Shuffle {
+            .filter_map(|(reduce, r)| {
+                let rnode = r.assigned_to?;
+                let purpose = FlowPurpose::Shuffle {
                     job,
                     reduce,
                     map: task,
-                },
-            );
-        }
+                };
+                Some((node.index(), rnode.index(), bytes, purpose))
+            });
+        self.net.start_tagged(self.now, shuffles);
 
         // Map-only jobs finish with their last map.
         let j = &self.jobs[job.index()];
@@ -1257,18 +1269,7 @@ impl Engine {
                     continue;
                 }
             }
-            // Cancellation order must be deterministic; BTreeMap
-            // iteration is already FlowId-sorted.
-            let flows: Vec<FlowId> = self
-                .flow_owner
-                .iter()
-                .filter(|(_, p)| {
-                    matches!(p, FlowPurpose::Shuffle { job: fj, reduce, .. }
-                        if *fj == job && *reduce == idx)
-                })
-                .map(|(&f, _)| f)
-                .collect();
-            self.cancel_attempt_flows(flows);
+            self.cancel_shuffles(|fj, reduce, _| fj == job && reduce == idx);
             let j = &mut self.jobs[job.index()];
             let r = &mut j.reduces[idx];
             r.assigned_to = None;
@@ -1307,18 +1308,7 @@ impl Engine {
         };
         for (task, runtime) in lost {
             // In-flight copies of this output can never finish.
-            // Cancellation order must be deterministic; BTreeMap
-            // iteration is already FlowId-sorted.
-            let flows: Vec<FlowId> = self
-                .flow_owner
-                .iter()
-                .filter(|(_, p)| {
-                    matches!(p, FlowPurpose::Shuffle { job: fj, map, .. }
-                        if *fj == job && *map == task)
-                })
-                .map(|(&f, _)| f)
-                .collect();
-            self.cancel_attempt_flows(flows);
+            self.cancel_shuffles(|fj, _, map| fj == job && map == task);
             {
                 let j = &mut self.jobs[job.index()];
                 for r in j.reduces.iter_mut() {
@@ -1337,6 +1327,21 @@ impl Engine {
             }
             self.requeue_map(job, task, rec);
         }
+    }
+
+    /// Cancels the in-flight shuffle flows whose `(job, reduce, map)`
+    /// matches, in FlowId order.
+    fn cancel_shuffles(&mut self, matches: impl Fn(JobId, usize, MapTaskId) -> bool) {
+        let mut flows: Vec<FlowId> = self
+            .net
+            .flows()
+            .filter(|(_, p)| {
+                matches!(**p, FlowPurpose::Shuffle { job, reduce, map } if matches(job, reduce, map))
+            })
+            .map(|(f, _)| f)
+            .collect();
+        flows.sort_unstable();
+        self.cancel_attempt_flows(flows);
     }
 
     fn start_reduce_processing(&mut self, job: JobId, reduce: usize, rec: &mut Recorder<'_>) {
@@ -1389,7 +1394,7 @@ impl Engine {
                             >= self.cfg.reduce_slowstart * j.maps.len() as f64)
             });
             let Some(job) = candidate else { break };
-            let (reduce, bytes, outputs) = {
+            let (reduce, bytes) = {
                 let j = &mut self.jobs[job.index()];
                 let reduce = if j.requeued_reduces.is_empty() {
                     let r = j.next_reduce;
@@ -1401,8 +1406,7 @@ impl Engine {
                 let r = &mut j.reduces[reduce];
                 r.assigned_to = Some(slave);
                 r.assigned_at = self.now;
-                let bytes = j.shuffle_bytes_per_reducer(self.cfg.block_bytes);
-                (reduce, bytes, j.completed_map_outputs.clone())
+                (reduce, j.shuffle_bytes_per_reducer(self.cfg.block_bytes))
             };
             self.free_reduce[slave.index()] -= 1;
             rec.emit(self.now, || SimEvent::ReduceLaunched {
@@ -1411,19 +1415,15 @@ impl Engine {
                 node: slave.0,
             });
             // Fetch output of already-completed maps (batched).
-            let specs: Vec<(usize, usize, u64)> = outputs
-                .iter()
-                .map(|&(_, from, _)| (from.index(), slave.index(), bytes))
-                .collect();
-            for (flow, &(map, _, _)) in self
-                .net
-                .start_flows(self.now, &specs)
-                .into_iter()
-                .zip(&outputs)
-            {
-                self.flow_owner
-                    .insert(flow, FlowPurpose::Shuffle { job, reduce, map });
-            }
+            let shuffles =
+                self.jobs[job.index()]
+                    .completed_map_outputs
+                    .iter()
+                    .map(|&(map, from, _)| {
+                        let purpose = FlowPurpose::Shuffle { job, reduce, map };
+                        (from.index(), slave.index(), bytes, purpose)
+                    });
+            self.net.start_tagged(self.now, shuffles);
             // A reducer of a job with zero maps shuffled would be ready
             // immediately; jobs always have maps, so nothing to do here.
         }
@@ -1478,7 +1478,8 @@ mod tests {
     impl MapScheduler for Greedy {
         fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
             'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
+                for i in 0..hb.jobs().len() {
+                    let job = hb.jobs()[i];
                     if hb.take_node_local(job).is_some()
                         || hb.take_rack_local(job).is_some()
                         || hb.take_remote(job).is_some()
@@ -1720,7 +1721,8 @@ mod feature_tests {
     impl MapScheduler for Greedy {
         fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
             'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
+                for i in 0..hb.jobs().len() {
+                    let job = hb.jobs()[i];
                     if hb.take_node_local(job).is_some()
                         || hb.take_rack_local(job).is_some()
                         || hb.take_remote(job).is_some()
@@ -1874,7 +1876,8 @@ mod speculation_tests {
     impl MapScheduler for Greedy {
         fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
             'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
+                for i in 0..hb.jobs().len() {
+                    let job = hb.jobs()[i];
                     if hb.take_node_local(job).is_some()
                         || hb.take_rack_local(job).is_some()
                         || hb.take_remote(job).is_some()
@@ -2098,7 +2101,8 @@ mod churn_tests {
     impl MapScheduler for Greedy {
         fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
             'outer: while hb.free_map_slots() > 0 {
-                for job in hb.jobs() {
+                for i in 0..hb.jobs().len() {
+                    let job = hb.jobs()[i];
                     if hb.take_node_local(job).is_some()
                         || hb.take_rack_local(job).is_some()
                         || hb.take_remote(job).is_some()

@@ -69,9 +69,12 @@ impl<'a> Heartbeat<'a> {
         self.engine.free_map[self.slave.index()]
     }
 
-    /// Running (submitted, unfinished) jobs in FIFO order.
-    pub fn jobs(&self) -> Vec<JobId> {
-        self.engine.fifo.clone()
+    /// Running (submitted, unfinished) jobs in FIFO order. The queue
+    /// cannot change during a heartbeat, so a policy that claims tasks
+    /// while walking it can index it afresh at each step instead of
+    /// holding this borrow.
+    pub fn jobs(&self) -> &[JobId] {
+        &self.engine.fifo
     }
 
     // ---- per-job counters (Algorithm 2's M, m, M_d, m_d) ---------------
@@ -297,7 +300,7 @@ mod tests {
                     slave: hb.slave(),
                     rack: hb.rack(),
                     free_slots: hb.free_map_slots(),
-                    jobs: hb.jobs(),
+                    jobs: hb.jobs().to_vec(),
                     total_maps: hb.total_maps(job),
                     total_degraded: hb.total_degraded(job),
                     launched_maps: hb.launched_maps(job),
@@ -386,7 +389,8 @@ mod tests {
                     *self.saw_finite_tr.borrow_mut() = true;
                 }
                 'outer: while hb.free_map_slots() > 0 {
-                    for job in hb.jobs() {
+                    for i in 0..hb.jobs().len() {
+                        let job = hb.jobs()[i];
                         if hb.take_degraded(job).is_some()
                             || hb.take_node_local(job).is_some()
                             || hb.take_rack_local(job).is_some()
@@ -431,7 +435,8 @@ mod tests {
     /// Claims greedily: node-local, rack-local, remote, then degraded.
     fn claim_greedily(hb: &mut Heartbeat<'_>) {
         'outer: while hb.free_map_slots() > 0 {
-            for job in hb.jobs() {
+            for i in 0..hb.jobs().len() {
+                let job = hb.jobs()[i];
                 if hb.take_node_local(job).is_some()
                     || hb.take_rack_local(job).is_some()
                     || hb.take_remote(job).is_some()

@@ -18,7 +18,8 @@ struct Greedy;
 impl MapScheduler for Greedy {
     fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
         'outer: while hb.free_map_slots() > 0 {
-            for job in hb.jobs() {
+            for i in 0..hb.jobs().len() {
+                let job = hb.jobs()[i];
                 if hb.take_node_local(job).is_some()
                     || hb.take_rack_local(job).is_some()
                     || hb.take_remote(job).is_some()

@@ -15,11 +15,12 @@
 //!   `O(route length)`). It keeps, per link that carries a flow, the
 //!   list of hops crossing it, plus the set of such *live* links. A
 //!   reallocation ([`FlowIncidence::compute`]) only resets remaining
-//!   capacity and load on the live links and runs progressive filling:
-//!   no path copy, no sort, no rebuilt index. Its cost is `O(flows +
-//!   live links · rounds)`, independent of how many links the network
-//!   has — on a 10,000-node topology a few thousand flows cross a few
-//!   thousand of the ~20,000 links.
+//!   capacity and load on the live links and runs progressive filling,
+//!   handing each flow's rate to the caller as the flow freezes: no
+//!   per-flow setup pass, no path copy, no sort, no rebuilt index. Its
+//!   cost is `O(flows + live links · rounds)`, independent of how many
+//!   links the network has — on a 10,000-node topology a few thousand
+//!   flows cross a few thousand of the ~20,000 links.
 //! * [`max_min_rates_ref`] — the straightforward textbook version this
 //!   module originally shipped, retained as the oracle.
 //!
@@ -51,37 +52,6 @@ const HOP_MASK: u32 = (1 << HOP_BITS) - 1;
 /// `live_pos` marker for a link that carries no flow.
 const NOT_LIVE: u32 = u32::MAX;
 
-/// Computes max-min fair rates.
-///
-/// * `capacities[l]` — capacity of link `l` in bits/second.
-/// * `paths[f]` — the link indices flow `f` traverses (may be empty for a
-///   loopback flow, which gets `f64::INFINITY`); at most [`MAX_HOPS`].
-///
-/// Returns one rate per flow, in bits/second. One-shot wrapper over
-/// [`FlowIncidence`]; event loops should keep the incidence and update
-/// it as flows come and go.
-///
-/// # Panics
-///
-/// Panics if a path references an unknown link or crosses more than
-/// [`MAX_HOPS`] links, or the capacity of a referenced link is not
-/// positive and finite.
-pub fn max_min_rates(capacities: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
-    let mut incidence = FlowIncidence::new();
-    let mut route = Vec::with_capacity(MAX_HOPS);
-    for path in paths {
-        route.clear();
-        for &l in path {
-            assert!(l < capacities.len(), "path references unknown link {l}");
-            route.push(u32::try_from(l).expect("link index fits u32"));
-        }
-        incidence.push(&route);
-    }
-    let mut rates = Vec::new();
-    incidence.compute(capacities, &mut rates);
-    rates
-}
-
 /// One flow's route, and where each of its hops sits in that link's
 /// hop list.
 #[derive(Clone, Copy, Debug)]
@@ -89,6 +59,10 @@ struct Route {
     len: u8,
     links: [u32; MAX_HOPS],
     at: [u32; MAX_HOPS],
+    /// The [`FlowIncidence::compute`] call that froze the flow: it is
+    /// frozen in the running call iff this equals the incidence's
+    /// `epoch`.
+    frozen_in: u32,
 }
 
 /// A link that carries at least one flow.
@@ -100,30 +74,35 @@ struct LiveLink {
     hops: Vec<u32>,
 }
 
-/// The persistent flow↔link incidence behind [`max_min_rates`], with
+/// The persistent flow↔link incidence behind max-min allocation, with
 /// the scratch that progressive filling needs. Flows live in dense
 /// slots `0..len()`, like a `Vec`: [`FlowIncidence::push`] appends one
 /// and [`FlowIncidence::swap_remove`] moves the last flow into the
 /// freed slot, so an owner that keeps its own flow vector in the same
-/// order reads rates by the same index. A link's hop list is allocated
-/// when the link goes live and freed when it empties, so memory follows
-/// the live links rather than every link ever used; the per-call
-/// scratch keeps its capacity, so [`FlowIncidence::compute`] allocates
-/// nothing once warm.
+/// order reads rates by the same index. A link's hop list is taken when
+/// the link goes live and kept for reuse when it empties, so memory
+/// follows the most links ever live at once rather than every link ever
+/// used; the per-call scratch keeps its capacity, so
+/// [`FlowIncidence::compute`] allocates nothing once warm.
 #[derive(Clone, Debug, Default)]
 pub struct FlowIncidence {
     /// Per flow slot.
     routes: Vec<Route>,
+    /// Flows that cross at least one link (not loopback).
+    routed: usize,
     /// The links that carry a flow, in no particular order.
     live: Vec<LiveLink>,
     /// Link id → index in `live`, or `NOT_LIVE`.
     live_pos: Vec<u32>,
+    /// Emptied hop lists, kept for the next link that goes live.
+    spare_hops: Vec<Vec<u32>>,
     /// Per-call scratch, indexed like `live`: remaining capacity and
     /// the number of unfrozen hops on each live link.
     remaining: Vec<f64>,
     load: Vec<u32>,
-    /// Per-call scratch, indexed by flow slot.
-    frozen: Vec<bool>,
+    /// Numbers the [`FlowIncidence::compute`] calls, for
+    /// [`Route::frozen_in`].
+    epoch: u32,
     /// Per-round scratch: the `live` indices still carrying an unfrozen
     /// hop, and their shares `remaining / load` at the round's start.
     open: Vec<u32>,
@@ -177,6 +156,7 @@ impl FlowIncidence {
             len: links.len() as u8,
             links: [0; MAX_HOPS],
             at: [0; MAX_HOPS],
+            frozen_in: 0,
         };
         for (hop, &link) in links.iter().enumerate() {
             let pos = self.live_index(link);
@@ -185,6 +165,7 @@ impl FlowIncidence {
             route.at[hop] = hops.len() as u32;
             hops.push(slot << HOP_BITS | hop as u32);
         }
+        self.routed += usize::from(!links.is_empty());
         self.routes.push(route);
     }
 
@@ -201,7 +182,8 @@ impl FlowIncidence {
             let (link, at) = (self.routes[slot].links[hop], self.routes[slot].at[hop]);
             self.detach(link, at as usize);
         }
-        self.routes.swap_remove(slot);
+        let route = self.routes.swap_remove(slot);
+        self.routed -= usize::from(route.len > 0);
         if let Some(moved) = self.routes.get(slot) {
             let entry = (slot as u32) << HOP_BITS;
             for hop in 0..moved.len as usize {
@@ -221,7 +203,7 @@ impl FlowIncidence {
             self.live_pos[l] = self.live.len() as u32;
             self.live.push(LiveLink {
                 id: link,
-                hops: Vec::new(),
+                hops: self.spare_hops.pop().unwrap_or_default(),
             });
         }
         self.live_pos[l] as usize
@@ -236,7 +218,8 @@ impl FlowIncidence {
         if let Some(&entry) = hops.get(at) {
             self.routes[(entry >> HOP_BITS) as usize].at[(entry & HOP_MASK) as usize] = at as u32;
         } else if hops.is_empty() {
-            self.live.swap_remove(pos);
+            let emptied = self.live.swap_remove(pos);
+            self.spare_hops.push(emptied.hops);
             self.live_pos[link as usize] = NOT_LIVE;
             if let Some(moved) = self.live.get(pos) {
                 self.live_pos[moved.id as usize] = pos as u32;
@@ -244,9 +227,12 @@ impl FlowIncidence {
         }
     }
 
-    /// Max-min fair rates of the current flows into `rates`, one per
-    /// slot: identical semantics — and identical floating-point
-    /// results — to [`max_min_rates_ref`] over the same paths (see the
+    /// Max-min fair rates of the current flows: calls `on_rate(slot,
+    /// rate)` once per flow that crosses a link, as progressive filling
+    /// freezes it, so in no particular slot order. Loopback flows are
+    /// never reported; their rate is `f64::INFINITY`. The rates have
+    /// identical semantics — and identical floating-point results — to
+    /// [`max_min_rates_ref`] over the same paths (see the
     /// [module docs](self)). `capacities` is indexed only at live links,
     /// never traversed.
     ///
@@ -255,17 +241,17 @@ impl FlowIncidence {
     /// Panics if a live link is unknown (`>= capacities.len()`) or its
     /// capacity is not positive and finite. (Other links' capacities
     /// are never inspected — the price of never touching them.)
-    pub fn compute(&mut self, capacities: &[f64], rates: &mut Vec<f64>) {
-        rates.clear();
-        self.frozen.clear();
-        let mut unfrozen_left = 0usize;
-        for route in &self.routes {
-            // Loopback flows cross no link and are frozen at infinity.
-            let loopback = route.len == 0;
-            rates.push(if loopback { f64::INFINITY } else { 0.0 });
-            self.frozen.push(loopback);
-            unfrozen_left += usize::from(!loopback);
+    pub fn compute(&mut self, capacities: &[f64], mut on_rate: impl FnMut(usize, f64)) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: no stamp may look like the new epoch's.
+            for route in &mut self.routes {
+                route.frozen_in = 0;
+            }
+            self.epoch = 1;
         }
+        let epoch = self.epoch;
+        let mut unfrozen_left = self.routed;
         self.remaining.clear();
         self.load.clear();
         for link in &self.live {
@@ -313,13 +299,13 @@ impl FlowIncidence {
                 }
                 for &entry in &self.live[pos as usize].hops {
                     let f = (entry >> HOP_BITS) as usize;
-                    if self.frozen[f] {
+                    let route = &mut self.routes[f];
+                    if route.frozen_in == epoch {
                         continue;
                     }
-                    self.frozen[f] = true;
-                    rates[f] = best_share;
+                    route.frozen_in = epoch;
+                    on_rate(f, best_share);
                     unfrozen_left -= 1;
-                    let route = &self.routes[f];
                     for &link in &route.links[..route.len as usize] {
                         let q = self.live_pos[link as usize] as usize;
                         self.remaining[q] = (self.remaining[q] - best_share).max(0.0);
@@ -331,7 +317,7 @@ impl FlowIncidence {
     }
 }
 
-/// Reference implementation of [`max_min_rates`]: allocates its scratch
+/// Reference implementation of [`FlowIncidence::compute`]: allocates its scratch
 /// per call and re-scans every flow each freeze round. Retained as the
 /// oracle for property tests.
 ///
@@ -541,6 +527,34 @@ mod tests {
         incidence
     }
 
+    /// Max-min rates of `paths` through a fresh incidence.
+    fn max_min_rates(caps: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
+        let narrow: Vec<Vec<u32>> = paths
+            .iter()
+            .map(|p| p.iter().map(|&l| l as u32).collect())
+            .collect();
+        rates_of(&mut incidence_of(&narrow), caps)
+    }
+
+    /// The incidence's rates by slot, loopbacks at infinity.
+    fn rates_of(incidence: &mut FlowIncidence, caps: &[f64]) -> Vec<f64> {
+        let mut rates: Vec<f64> = (0..incidence.len())
+            .map(|slot| {
+                if incidence.links(slot).is_empty() {
+                    f64::INFINITY
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
+        incidence.compute(caps, |slot, rate| {
+            assert!(rates[slot].is_nan(), "slot {slot} reported twice");
+            rates[slot] = rate;
+        });
+        assert!(rates.iter().all(|r| !r.is_nan()), "a flow was not reported");
+        rates
+    }
+
     /// Paths in the reference's `usize` link ids.
     fn widen(paths: &[Vec<u32>]) -> Vec<Vec<usize>> {
         paths
@@ -582,8 +596,7 @@ mod tests {
             vec![],
         ];
         let reference = max_min_rates_ref(&caps, &widen(&paths));
-        let mut rates = Vec::new();
-        incidence_of(&paths).compute(&caps, &mut rates);
+        let rates = rates_of(&mut incidence_of(&paths), &caps);
         assert_eq!(bits(&rates), bits(&reference));
     }
 
@@ -594,55 +607,62 @@ mod tests {
         let caps = [GBPS, f64::NAN, 0.0, -5.0, 0.5 * GBPS];
         let paths: Vec<Vec<u32>> = vec![vec![0, 4], vec![4]];
         let mut incidence = incidence_of(&paths);
-        let mut rates = Vec::new();
-        incidence.compute(&caps, &mut rates);
+        let rates = rates_of(&mut incidence, &caps);
         let expected = max_min_rates_ref(&[GBPS, GBPS, GBPS, GBPS, 0.5 * GBPS], &widen(&paths));
         assert_eq!(bits(&rates), bits(&expected));
         // A link that was live and emptied is untouched again.
         incidence.push(&[2]);
         incidence.swap_remove(2);
-        incidence.compute(&caps, &mut rates);
+        let rates = rates_of(&mut incidence, &caps);
         assert_eq!(bits(&rates), bits(&expected));
     }
 
     #[test]
     fn sparse_reuse_is_clean_across_calls_and_epochs() {
         let mut incidence = incidence_of(&[vec![0, 1], vec![1]]);
-        let mut rates = Vec::new();
-        incidence.compute(&[GBPS, 0.5 * GBPS], &mut rates);
-        let first = rates.clone();
+        let first = rates_of(&mut incidence, &[GBPS, 0.5 * GBPS]);
         // A different problem over a larger link space.
         incidence.swap_remove(0);
         incidence.swap_remove(0);
         incidence.push(&[63]);
-        incidence.compute(&vec![GBPS; 64], &mut rates);
-        assert_eq!(rates, vec![GBPS]);
+        assert_eq!(rates_of(&mut incidence, &vec![GBPS; 64]), vec![GBPS]);
         // Shrinking back must not see stale live links.
         incidence.swap_remove(0);
         incidence.push(&[0, 1]);
         incidence.push(&[1]);
-        incidence.compute(&[GBPS, 0.5 * GBPS], &mut rates);
-        assert_eq!(rates, first);
+        assert_eq!(rates_of(&mut incidence, &[GBPS, 0.5 * GBPS]), first);
         // No flows at all.
         incidence.swap_remove(1);
         incidence.swap_remove(0);
         assert!(incidence.is_empty());
-        incidence.compute(&[GBPS], &mut rates);
-        assert!(rates.is_empty());
+        assert!(rates_of(&mut incidence, &[GBPS]).is_empty());
+    }
+
+    #[test]
+    fn frozen_stamps_survive_epoch_wraparound() {
+        let paths: Vec<Vec<u32>> = vec![vec![0, 1], vec![1], vec![], vec![0]];
+        let caps = [GBPS, 0.5 * GBPS];
+        let expected = bits(&max_min_rates_ref(&caps, &widen(&paths)));
+        let mut incidence = incidence_of(&paths);
+        assert_eq!(bits(&rates_of(&mut incidence, &caps)), expected);
+        // The first call stamped every flow 1. When the counter wraps,
+        // those stamps must not read as frozen in the new first call.
+        incidence.epoch = u32::MAX;
+        for _ in 0..3 {
+            assert_eq!(bits(&rates_of(&mut incidence, &caps)), expected);
+        }
     }
 
     #[test]
     #[should_panic(expected = "unknown link")]
     fn sparse_rejects_unknown_link() {
-        let mut rates = Vec::new();
-        incidence_of(&[vec![3]]).compute(&[GBPS], &mut rates);
+        rates_of(&mut incidence_of(&[vec![3]]), &[GBPS]);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn sparse_rejects_zero_capacity_on_touched_link() {
-        let mut rates = Vec::new();
-        incidence_of(&[vec![0]]).compute(&[0.0], &mut rates);
+        rates_of(&mut incidence_of(&[vec![0]]), &[0.0]);
     }
 
     #[test]
@@ -666,7 +686,6 @@ mod tests {
             (vec![GBPS, 0.5 * GBPS], vec![vec![0, 1], vec![1]]),
         ];
         let mut incidence = FlowIncidence::new();
-        let mut rates = vec![99.0; 7];
         for (caps, paths) in &problems {
             while !incidence.is_empty() {
                 incidence.swap_remove(0);
@@ -674,7 +693,7 @@ mod tests {
             for path in paths {
                 incidence.push(path);
             }
-            incidence.compute(caps, &mut rates);
+            let rates = rates_of(&mut incidence, caps);
             assert_eq!(bits(&rates), bits(&max_min_rates_ref(caps, &widen(paths))));
         }
     }

@@ -33,5 +33,6 @@ pub mod fairshare;
 pub mod network;
 
 pub use network::{
-    FlowId, FlowLogEntry, FlowLogKind, FlowRoute, FlowStats, NetConfig, Network, UtilizationSample,
+    FlowId, FlowIds, FlowLogEntry, FlowLogKind, FlowRoute, FlowStats, NetConfig, Network,
+    UtilizationSample,
 };

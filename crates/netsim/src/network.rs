@@ -19,7 +19,7 @@
 //! downlink]`. The rack downlink of capacity `W` is the paper's "download
 //! bandwidth of each rack".
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use simkit::time::{SimDuration, SimTime};
 
@@ -156,7 +156,7 @@ pub struct FlowLogEntry {
 }
 
 #[derive(Clone, Debug)]
-struct ActiveFlow {
+struct ActiveFlow<T> {
     id: FlowId,
     src: usize,
     dst: usize,
@@ -164,7 +164,39 @@ struct ActiveFlow {
     remaining_bits: f64,
     rate_bps: f64,
     started: SimTime,
+    tag: T,
 }
+
+impl<T> ActiveFlow<T> {
+    fn stats(&self, finished: SimTime) -> FlowStats {
+        FlowStats {
+            started: self.started,
+            finished,
+            bytes: self.bytes,
+            src: self.src,
+            dst: self.dst,
+        }
+    }
+}
+
+/// The ids of the flows one [`Network::start_tagged`] call started, in
+/// order: consecutive, so reading them allocates nothing.
+#[derive(Clone, Debug)]
+pub struct FlowIds(std::ops::Range<u64>);
+
+impl Iterator for FlowIds {
+    type Item = FlowId;
+
+    fn next(&mut self) -> Option<FlowId> {
+        self.0.next().map(FlowId)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for FlowIds {}
 
 /// One entry of the utilization log: over `(since, until]`, the rack
 /// downlinks moved `rack_down_bits` in aggregate out of
@@ -193,16 +225,25 @@ impl UtilizationSample {
 }
 
 /// The live network state. See the [crate docs](crate) for the model.
+///
+/// Every flow carries a tag of type `T` that the network hands back when
+/// the flow finishes or is cancelled, so an owner can file what a flow
+/// is for with the flow itself instead of in a map of its own.
+/// [`Network::new`] builds an untagged network (`T = ()`);
+/// [`Network::tagged`] any other.
 #[derive(Clone, Debug)]
-pub struct Network {
+pub struct Network<T = ()> {
     /// rack index of each node.
     node_rack: Vec<usize>,
     capacities: Vec<f64>,
     num_racks: usize,
-    flows: Vec<ActiveFlow>,
-    // detlint::allow(D1, reason = "lookup-only FlowId->slot index, never iterated; O(1) on the reallocate hot path")
-    index_of: HashMap<FlowId, usize>,
-    next_id: u64,
+    flows: Vec<ActiveFlow<T>>,
+    /// The slot in `flows` of each id from `first_id` on, `NO_SLOT`
+    /// once the flow left. Leading `NO_SLOT`s are popped, so the table
+    /// spans the ids from the oldest live flow to the newest.
+    slot_of: VecDeque<u32>,
+    /// The id `slot_of[0]` stands for.
+    first_id: u64,
     last_advanced: SimTime,
     /// Cached earliest completion given current rates; valid only while
     /// `dirty` is false.
@@ -213,7 +254,7 @@ pub struct Network {
     /// Number of settles that reallocated rates.
     reallocations: u64,
     /// Active flows with nothing left to send, which the next
-    /// [`Network::drain_finished`] removes.
+    /// [`Network::drain_tagged`] removes.
     done_flows: usize,
     /// When set, every advance appends a rack-downlink utilization
     /// sample (the paper's "unused network resources" evidence).
@@ -223,21 +264,58 @@ pub struct Network {
     /// default) keeps the hot paths branch-only, preserving bit-identical
     /// untraced runs.
     flow_log: Option<Vec<FlowLogEntry>>,
+    /// Scratch of a settle with the flow log on: the slots whose rate
+    /// changed, logged in slot order once the settle ends.
+    rate_changed: Vec<u32>,
+    /// Scratch of [`Network::drain_tagged`]: the finished flows.
+    finished: Vec<ActiveFlow<T>>,
     rack_bps: f64,
     /// The flow↔link incidence for rate reallocation, kept slot-aligned
     /// with `flows` (same pushes, same swap-removes) so that flows
     /// start and finish on every simulated transfer without rebuilding
     /// it or allocating.
     incidence: FlowIncidence,
-    rates_buf: Vec<f64>,
 }
 
 /// Residual bits below which a flow counts as finished (absorbs the
 /// microsecond-rounding of completion times).
 const DONE_EPS_BITS: f64 = 1e-3;
 
+/// `slot_of` marker for a flow that left.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The untagged API: each call is its `_tagged` counterpart with `()`.
 impl Network {
-    /// Builds the network for racks of the given sizes.
+    /// [`Network::tagged`], untagged.
+    pub fn new(rack_sizes: &[usize], config: NetConfig) -> Network {
+        Network::tagged(rack_sizes, config)
+    }
+
+    /// [`Network::start_tagged`] of `(src, dst, bytes)` triples.
+    pub fn start_flows(&mut self, now: SimTime, specs: &[(usize, usize, u64)]) -> Vec<FlowId> {
+        self.start_tagged(
+            now,
+            specs.iter().map(|&(src, dst, bytes)| (src, dst, bytes, ())),
+        )
+        .collect()
+    }
+
+    /// [`Network::cancel_tagged`], returning the stats only.
+    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<FlowStats> {
+        self.cancel_tagged(now, id).map(|(stats, ())| stats)
+    }
+
+    /// [`Network::drain_tagged`], collecting `(id, stats)` pairs.
+    pub fn drain_finished(&mut self, now: SimTime) -> Vec<(FlowId, FlowStats)> {
+        let mut done = Vec::new();
+        self.drain_tagged(now, |id, stats, ()| done.push((id, stats)));
+        done
+    }
+}
+
+impl<T> Network<T> {
+    /// Builds the network for racks of the given sizes, its flows tagged
+    /// with `T`.
     ///
     /// Link indexing: for node `i`, uplink `2i`, downlink `2i+1`; for
     /// rack `r`, uplink `2N + 2r`, downlink `2N + 2r + 1`.
@@ -245,7 +323,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if there are no nodes or a capacity is zero.
-    pub fn new(rack_sizes: &[usize], config: NetConfig) -> Network {
+    pub fn tagged(rack_sizes: &[usize], config: NetConfig) -> Network<T> {
         assert!(config.node_bps > 0 && config.rack_bps > 0, "zero capacity");
         let mut node_rack = Vec::new();
         for (r, &size) in rack_sizes.iter().enumerate() {
@@ -264,9 +342,8 @@ impl Network {
             capacities,
             num_racks,
             flows: Vec::new(),
-            // detlint::allow(D1, reason = "see the field declaration: lookup-only index")
-            index_of: HashMap::new(),
-            next_id: 0,
+            slot_of: VecDeque::new(),
+            first_id: 0,
             last_advanced: SimTime::ZERO,
             next_done: None,
             dirty: false,
@@ -274,9 +351,10 @@ impl Network {
             done_flows: 0,
             utilization_log: None,
             flow_log: None,
+            rate_changed: Vec::new(),
+            finished: Vec::new(),
             rack_bps: config.rack_bps as f64,
             incidence: FlowIncidence::new(),
-            rates_buf: Vec::new(),
         }
     }
 
@@ -309,7 +387,7 @@ impl Network {
     /// settled first, so the drained entries are complete up to the last
     /// network update and later entries never carry an earlier
     /// timestamp. The one exception is a finished flow still awaiting
-    /// [`Network::drain_finished`]: the rates of that instant wait for
+    /// [`Network::drain_tagged`]: the rates of that instant wait for
     /// the drain, which a caller makes at the instant
     /// [`Network::next_completion`] reports. The log keeps its capacity,
     /// so a traced event loop allocates nothing here.
@@ -344,15 +422,26 @@ impl Network {
         self.flows.len()
     }
 
+    /// Every active flow's id and tag, in no particular order.
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, &T)> {
+        self.flows.iter().map(|flow| (flow.id, &flow.tag))
+    }
+
     /// The `(src, dst)` node pair of an active flow, or `None` if the
     /// flow has finished or was cancelled. Lets callers that track
     /// flows by id (e.g. a scheduler reacting to a node failure) find
     /// every transfer touching a given node without shadowing endpoint
     /// state of their own.
     pub fn flow_endpoints(&self, id: FlowId) -> Option<(usize, usize)> {
-        let idx = *self.index_of.get(&id)?;
-        let flow = &self.flows[idx];
+        let flow = &self.flows[self.slot(id)?];
         Some((flow.src, flow.dst))
+    }
+
+    /// The slot of an active flow.
+    fn slot(&self, id: FlowId) -> Option<usize> {
+        let offset = usize::try_from(id.0.checked_sub(self.first_id)?).ok()?;
+        let slot = *self.slot_of.get(offset)?;
+        (slot != NO_SLOT).then_some(slot as usize)
     }
 
     fn route_for(&self, src: usize, dst: usize) -> FlowRoute {
@@ -373,10 +462,10 @@ impl Network {
     }
 
     /// Registers a flow without advancing time or reallocating rates.
-    /// A loopback flow crosses no link, so it has nothing left to send.
-    fn push_flow(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64) -> FlowId {
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
+    /// A loopback flow crosses no link, so it runs at an infinite rate
+    /// and has nothing left to send.
+    fn push_flow(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64, tag: T) {
+        let id = FlowId(self.first_id + self.slot_of.len() as u64);
         let route = self.route_for(src, dst);
         if let Some(log) = &mut self.flow_log {
             log.push(FlowLogEntry {
@@ -390,13 +479,13 @@ impl Network {
                 },
             });
         }
-        let remaining_bits = if route.len == 0 {
-            0.0
+        let (remaining_bits, rate_bps) = if route.len == 0 {
+            (0.0, f64::INFINITY)
         } else {
-            (bytes as f64) * 8.0
+            ((bytes as f64) * 8.0, 0.0)
         };
         self.done_flows += usize::from(remaining_bits <= DONE_EPS_BITS);
-        self.index_of.insert(id, self.flows.len());
+        self.slot_of.push_back(self.flows.len() as u32);
         self.incidence.push(route.as_slice());
         self.flows.push(ActiveFlow {
             id,
@@ -404,14 +493,32 @@ impl Network {
             dst,
             bytes,
             remaining_bits,
-            rate_bps: 0.0,
+            rate_bps,
             started: now,
+            tag,
         });
         self.dirty = true;
-        id
     }
 
-    /// Starts one flow per `(src, dst, bytes)` triple at time `now`, in
+    /// Takes the flow in `slot` out; the last flow moves into `slot`, as
+    /// with `Vec::swap_remove`.
+    fn remove_slot(&mut self, slot: usize) -> ActiveFlow<T> {
+        let flow = self.flows.swap_remove(slot);
+        self.incidence.swap_remove(slot);
+        if let Some(moved) = self.flows.get(slot) {
+            self.slot_of[(moved.id.0 - self.first_id) as usize] = slot as u32;
+        }
+        self.slot_of[(flow.id.0 - self.first_id) as usize] = NO_SLOT;
+        while self.slot_of.front() == Some(&NO_SLOT) {
+            self.slot_of.pop_front();
+            self.first_id += 1;
+        }
+        self.done_flows -= usize::from(flow.remaining_bits <= DONE_EPS_BITS);
+        self.dirty = true;
+        flow
+    }
+
+    /// Starts one flow per `(src, dst, bytes, tag)` at time `now`, in
     /// order, and returns their ids. Loopback flows (`src == dst`)
     /// complete at `now`. Rates are reallocated once for everything that
     /// changed at `now` (see [`Network::next_completion`]), so one call
@@ -421,24 +528,24 @@ impl Network {
     ///
     /// Panics if a node index is unknown or `now` precedes the last
     /// network update.
-    pub fn start_flows(&mut self, now: SimTime, specs: &[(usize, usize, u64)]) -> Vec<FlowId> {
+    pub fn start_tagged(
+        &mut self,
+        now: SimTime,
+        flows: impl IntoIterator<Item = (usize, usize, u64, T)>,
+    ) -> FlowIds {
         self.advance_to(now);
-        specs
-            .iter()
-            .map(|&(src, dst, bytes)| self.push_flow(now, src, dst, bytes))
-            .collect()
+        let first = self.first_id + self.slot_of.len() as u64;
+        for (src, dst, bytes, tag) in flows {
+            self.push_flow(now, src, dst, bytes, tag);
+        }
+        FlowIds(first..self.first_id + self.slot_of.len() as u64)
     }
 
-    /// Cancels an active flow, returning its stats if it existed.
-    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<FlowStats> {
+    /// Cancels an active flow, returning its stats and tag if it
+    /// existed.
+    pub fn cancel_tagged(&mut self, now: SimTime, id: FlowId) -> Option<(FlowStats, T)> {
         self.advance_to(now);
-        let idx = self.index_of.remove(&id)?;
-        let flow = self.flows.swap_remove(idx);
-        self.incidence.swap_remove(idx);
-        if let Some(moved) = self.flows.get(idx) {
-            self.index_of.insert(moved.id, idx);
-        }
-        self.done_flows -= usize::from(flow.remaining_bits <= DONE_EPS_BITS);
+        let flow = self.remove_slot(self.slot(id)?);
         if let Some(log) = &mut self.flow_log {
             log.push(FlowLogEntry {
                 at: now,
@@ -446,14 +553,7 @@ impl Network {
                 kind: FlowLogKind::Finished { cancelled: true },
             });
         }
-        self.dirty = true;
-        Some(FlowStats {
-            started: flow.started,
-            finished: now,
-            bytes: flow.bytes,
-            src: flow.src,
-            dst: flow.dst,
-        })
+        Some((flow.stats(now), flow.tag))
     }
 
     /// The earliest instant at which some active flow completes, if any.
@@ -475,53 +575,36 @@ impl Network {
     }
 
     /// Advances the fluid model to `now` and removes every flow that has
-    /// finished, returning their ids and stats in deterministic order.
+    /// finished, handing each one's id, stats and tag to `f` in
+    /// ascending id order.
     ///
     /// # Panics
     ///
     /// Panics if `now` precedes the last network update.
-    pub fn drain_finished(&mut self, now: SimTime) -> Vec<(FlowId, FlowStats)> {
+    pub fn drain_tagged(&mut self, now: SimTime, mut f: impl FnMut(FlowId, FlowStats, T)) {
         self.advance_to(now);
-        let mut done: Vec<(FlowId, FlowStats)> = Vec::new();
+        let expected = self.done_flows;
         let mut i = 0;
         while i < self.flows.len() {
             if self.flows[i].remaining_bits <= DONE_EPS_BITS {
-                let flow = self.flows.swap_remove(i);
-                self.incidence.swap_remove(i);
-                self.index_of.remove(&flow.id);
-                if let Some(moved) = self.flows.get(i) {
-                    self.index_of.insert(moved.id, i);
-                }
-                done.push((
-                    flow.id,
-                    FlowStats {
-                        started: flow.started,
-                        finished: now,
-                        bytes: flow.bytes,
-                        src: flow.src,
-                        dst: flow.dst,
-                    },
-                ));
+                let flow = self.remove_slot(i);
+                self.finished.push(flow);
             } else {
                 i += 1;
             }
         }
-        debug_assert_eq!(done.len(), self.done_flows);
-        self.done_flows = 0;
-        done.sort_by_key(|(id, _)| *id);
-        if let Some(log) = &mut self.flow_log {
-            for (id, _) in &done {
+        debug_assert_eq!(self.finished.len(), expected);
+        self.finished.sort_unstable_by_key(|flow| flow.id);
+        for flow in self.finished.drain(..) {
+            if let Some(log) = &mut self.flow_log {
                 log.push(FlowLogEntry {
                     at: now,
-                    flow: *id,
+                    flow: flow.id,
                     kind: FlowLogKind::Finished { cancelled: false },
                 });
             }
+            f(flow.id, flow.stats(now), flow.tag);
         }
-        if !done.is_empty() {
-            self.dirty = true;
-        }
-        done
     }
 
     fn advance_to(&mut self, now: SimTime) {
@@ -567,9 +650,11 @@ impl Network {
 
     /// Reallocates rates and finds the next completion, once, for every
     /// change since the last settle; a no-op when nothing changed. Runs
-    /// at `last_advanced`, the instant of those changes. Rates are a
-    /// function of the flow set in slot order, so settling once gives
-    /// bit for bit what settling after each change would have ended on.
+    /// at `last_advanced`, the instant of those changes, in one pass:
+    /// each flow's completion instant is computed as progressive filling
+    /// freezes its rate. Rates are a function of the flow set, so
+    /// settling once gives bit for bit what settling after each change
+    /// would have ended on.
     fn settle(&mut self) {
         if !self.dirty {
             return;
@@ -577,25 +662,25 @@ impl Network {
         self.dirty = false;
         self.reallocations += 1;
         let now = self.last_advanced;
+        // A finished flow, loopbacks included, completes now.
+        let mut earliest = if self.done_flows > 0 {
+            now
+        } else {
+            SimTime::MAX
+        };
+        let flows = &mut self.flows;
+        let rate_changed = &mut self.rate_changed;
+        let logging = self.flow_log.is_some();
         // Only the links current flows cross are touched, which keeps
         // per-event reallocation independent of the topology's total
         // link count (bit-identical to `max_min_rates_ref`; see the
-        // fairshare module docs). `rates_buf[i]` is the rate of
-        // `flows[i]`: the incidence's slots follow the same order.
-        self.incidence
-            .compute(&self.capacities, &mut self.rates_buf);
-        let mut earliest: Option<SimTime> = None;
-        for (flow, &rate) in self.flows.iter_mut().zip(self.rates_buf.iter()) {
+        // fairshare module docs). The incidence's slots follow `flows`.
+        self.incidence.compute(&self.capacities, |slot, rate| {
+            let flow = &mut flows[slot];
             // Fairshare rates are a deterministic function of the flow
             // set, so exact f64 comparison suffices to detect changes.
-            if rate != flow.rate_bps && rate.is_finite() {
-                if let Some(log) = &mut self.flow_log {
-                    log.push(FlowLogEntry {
-                        at: now,
-                        flow: flow.id,
-                        kind: FlowLogKind::RateChanged { rate_bps: rate },
-                    });
-                }
+            if logging && rate != flow.rate_bps {
+                rate_changed.push(slot as u32);
             }
             flow.rate_bps = rate;
             let done_at = if flow.remaining_bits <= DONE_EPS_BITS {
@@ -605,12 +690,23 @@ impl Network {
                 let micros = (secs * 1e6).ceil() as u64;
                 now + SimDuration::from_micros(micros.max(1))
             };
-            earliest = Some(match earliest {
-                Some(e) if e <= done_at => e,
-                _ => done_at,
-            });
+            earliest = earliest.min(done_at);
+        });
+        self.next_done = (!self.flows.is_empty()).then_some(earliest);
+        if let Some(log) = &mut self.flow_log {
+            // Slot order, which traced streams and their goldens pin.
+            self.rate_changed.sort_unstable();
+            for slot in self.rate_changed.drain(..) {
+                let flow = &self.flows[slot as usize];
+                log.push(FlowLogEntry {
+                    at: now,
+                    flow: flow.id,
+                    kind: FlowLogKind::RateChanged {
+                        rate_bps: flow.rate_bps,
+                    },
+                });
+            }
         }
-        self.next_done = earliest;
     }
 }
 

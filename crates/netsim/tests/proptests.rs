@@ -1,11 +1,12 @@
 //! Property-based tests for the flow-level network: feasibility and
 //! max-min optimality of rate allocations, byte conservation,
-//! monotonicity of completion under contention, and settling a batch
-//! of same-instant changes once.
+//! monotonicity of completion under contention, settling a batch of
+//! same-instant changes once, and the one-pass settle against a model
+//! built on the reference allocator.
 
 use std::collections::BTreeMap;
 
-use netsim::fairshare::{max_min_rates, max_min_rates_ref, FlowIncidence, MAX_HOPS};
+use netsim::fairshare::{max_min_rates_ref, FlowIncidence, MAX_HOPS};
 use netsim::{FlowId, FlowLogKind, NetConfig, Network};
 use proptest::prelude::*;
 use simkit::time::{SimDuration, SimTime};
@@ -31,6 +32,31 @@ fn incidence_of(paths: &[Vec<usize>]) -> FlowIncidence {
         incidence.push(&links);
     }
     incidence
+}
+
+/// The incidence's rates by slot, loopbacks at infinity; each routed
+/// flow must be reported exactly once.
+fn rates_of(incidence: &mut FlowIncidence, caps: &[f64]) -> Vec<f64> {
+    let mut rates: Vec<f64> = (0..incidence.len())
+        .map(|slot| {
+            if incidence.links(slot).is_empty() {
+                f64::INFINITY
+            } else {
+                f64::NAN
+            }
+        })
+        .collect();
+    incidence.compute(caps, |slot, rate| {
+        assert!(rates[slot].is_nan(), "slot {slot} reported twice");
+        rates[slot] = rate;
+    });
+    assert!(rates.iter().all(|r| !r.is_nan()), "a flow was not reported");
+    rates
+}
+
+/// Max-min rates of `paths` through a fresh incidence.
+fn max_min_rates(caps: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
+    rates_of(&mut incidence_of(paths), caps)
 }
 
 /// One step of a flow set's life.
@@ -70,6 +96,144 @@ fn net_op() -> impl Strategy<Value = NetOp> {
         2 => any::<usize>().prop_map(NetOp::Cancel),
         2 => Just(NetOp::Drain),
     ]
+}
+
+/// One step of a tagged network's life in the model check.
+#[derive(Clone, Debug)]
+enum ModelOp {
+    /// `start_tagged` with these `(src, dst, bytes)` triples.
+    Start(Vec<(usize, usize, u64)>),
+    /// `cancel_tagged` of started flow `pick % started` (live or not).
+    Cancel(usize),
+    /// `drain_tagged`.
+    Drain,
+    /// Moves the clock to the next completion, or by this many
+    /// microseconds; the network sees the new time with its next call.
+    Advance(bool, u64),
+}
+
+fn model_op() -> impl Strategy<Value = ModelOp> {
+    prop_oneof![
+        3 => proptest::collection::vec(
+            (0usize..6, 0usize..6, prop_oneof![1 => Just(0u64), 6 => 1u64..40_000_000]),
+            1..4,
+        )
+        .prop_map(ModelOp::Start),
+        2 => any::<usize>().prop_map(ModelOp::Cancel),
+        2 => Just(ModelOp::Drain),
+        3 => (any::<bool>(), 1u64..3_000_000).prop_map(|(to, us)| ModelOp::Advance(to, us)),
+    ]
+}
+
+/// What the model knows of a live flow.
+#[derive(Clone, Debug)]
+struct ModelFlow {
+    src: usize,
+    dst: usize,
+    bytes: u64,
+    started: SimTime,
+    path: Vec<usize>,
+    remaining_bits: f64,
+    tag: String,
+}
+
+/// A fluid network kept by hand: flows in id order, rates from
+/// `max_min_rates_ref`, progress and completion instants by the
+/// formulas the network documents.
+struct Model {
+    racks: Vec<usize>,
+    caps: Vec<f64>,
+    flows: BTreeMap<FlowId, ModelFlow>,
+    /// The instant of the last call the network saw.
+    last: SimTime,
+    /// Whether the flow set changed at `last`.
+    changed: bool,
+    /// The next completion as of the last change: the network answers
+    /// with it until the flow set changes again.
+    next: Option<SimTime>,
+}
+
+impl Model {
+    fn new(racks: &[usize], config: NetConfig) -> Model {
+        let nodes: usize = racks.iter().sum();
+        let mut caps = vec![config.node_bps as f64; 2 * nodes];
+        caps.extend(std::iter::repeat_n(config.rack_bps as f64, 2 * racks.len()));
+        Model {
+            racks: racks.to_vec(),
+            caps,
+            flows: BTreeMap::new(),
+            last: SimTime::ZERO,
+            changed: false,
+            next: None,
+        }
+    }
+
+    /// The link layout of `Network::tagged`.
+    fn path(&self, src: usize, dst: usize) -> Vec<usize> {
+        let rack_of = |node: usize| {
+            let mut first = 0;
+            self.racks
+                .iter()
+                .position(|&size| {
+                    first += size;
+                    node < first
+                })
+                .unwrap()
+        };
+        let n: usize = self.racks.iter().sum();
+        let (sr, dr) = (rack_of(src), rack_of(dst));
+        if src == dst {
+            vec![]
+        } else if sr == dr {
+            vec![2 * src, 2 * dst + 1]
+        } else {
+            vec![2 * src, 2 * n + 2 * sr, 2 * n + 2 * dr + 1, 2 * dst + 1]
+        }
+    }
+
+    /// The reference rates of the live flows, in id order.
+    fn rates(&self) -> Vec<f64> {
+        let paths: Vec<Vec<usize>> = self.flows.values().map(|f| f.path.clone()).collect();
+        max_min_rates_ref(&self.caps, &paths)
+    }
+
+    /// What the network does before each call: progress at the rates
+    /// of the flow set since the last call. Completion instants are
+    /// fixed at the instant of the last change.
+    fn advance_to(&mut self, now: SimTime) {
+        let dt = now.duration_since(self.last).as_secs_f64();
+        if dt > 0.0 {
+            self.next = self.next_completion();
+            self.changed = false;
+            let rates = self.rates();
+            for (flow, rate) in self.flows.values_mut().zip(rates) {
+                flow.remaining_bits = (flow.remaining_bits - rate * dt).max(0.0);
+            }
+        }
+        self.last = now;
+    }
+
+    /// `now + max(1, ceil(remaining / rate · 1e6))` µs per flow, or
+    /// `now` for a finished one, the earliest of them, where `now` is
+    /// the instant of the last change.
+    fn next_completion(&self) -> Option<SimTime> {
+        if !self.changed {
+            return self.next;
+        }
+        let now = self.last;
+        self.flows
+            .values()
+            .zip(self.rates())
+            .map(|(flow, rate)| {
+                if flow.remaining_bits <= 1e-3 {
+                    now
+                } else {
+                    let micros = (flow.remaining_bits / rate * 1e6).ceil() as u64;
+                    now + SimDuration::from_micros(micros.max(1))
+                }
+            })
+            .min()
+    }
 }
 
 /// `drain_finished` as `(id, finished)` pairs.
@@ -179,13 +343,9 @@ proptest! {
         wider.extend(std::iter::repeat_n(3.3e9, pad_links));
         let wider_bits = bits(&max_min_rates_ref(&wider, &paths));
         let mut incidence = incidence_of(&paths);
-        let mut rates = Vec::new();
-        incidence.compute(&wider, &mut rates);
-        prop_assert_eq!(&wider_bits, &bits(&rates));
-        incidence.compute(&caps, &mut rates);
-        prop_assert_eq!(&ref_bits, &bits(&rates));
-        incidence.compute(&wider, &mut rates);
-        prop_assert_eq!(&wider_bits, &bits(&rates));
+        prop_assert_eq!(&wider_bits, &bits(&rates_of(&mut incidence, &wider)));
+        prop_assert_eq!(&ref_bits, &bits(&rates_of(&mut incidence, &caps)));
+        prop_assert_eq!(&wider_bits, &bits(&rates_of(&mut incidence, &wider)));
     }
 
     #[test]
@@ -211,10 +371,8 @@ proptest! {
         let ref_bits = bits(&max_min_rates_ref(&caps, &paths));
         // Computing twice on the same incidence must agree too.
         let mut incidence = incidence_of(&paths);
-        let mut rates = Vec::new();
-        incidence.compute(&caps, &mut rates);
-        incidence.compute(&caps, &mut rates);
-        prop_assert_eq!(&ref_bits, &bits(&rates));
+        rates_of(&mut incidence, &caps);
+        prop_assert_eq!(&ref_bits, &bits(&rates_of(&mut incidence, &caps)));
     }
 
     #[test]
@@ -234,7 +392,6 @@ proptest! {
         caps.extend(std::iter::repeat_n(7.7e9, pad_links));
         let mut incidence = FlowIncidence::new();
         let mut paths: Vec<Vec<usize>> = Vec::new();
-        let mut rates = Vec::new();
         for op in ops {
             match op {
                 Op::Start(path) => {
@@ -269,7 +426,7 @@ proptest! {
                 let links: Vec<usize> = incidence.links(slot).iter().map(|&l| l as usize).collect();
                 prop_assert_eq!(&links, path);
             }
-            incidence.compute(&caps, &mut rates);
+            let rates = rates_of(&mut incidence, &caps);
             prop_assert_eq!(bits(&rates), bits(&max_min_rates_ref(&caps, &paths)));
         }
     }
@@ -411,6 +568,105 @@ proptest! {
             fold_rates(&mut view, &mut lazy_rates);
             prop_assert_eq!(&eager_rates, &lazy_rates);
             prop_assert!(eager_rates.keys().all(|id| live.contains(id)));
+        }
+    }
+
+    #[test]
+    fn one_pass_settle_matches_the_reference_formula(
+        ops in proptest::collection::vec(model_op(), 1..40),
+    ) {
+        // After every step, the network's next completion must be the
+        // one the reference rates give, bit for bit, and every flow that
+        // leaves must come back with the tag it was started with. The
+        // network under test is only ever read through clones, so it
+        // settles when its own calls need the rates.
+        let config = NetConfig { node_bps: 100_000_000, rack_bps: 150_000_000 };
+        let racks = [3, 3];
+        let mut net: Network<String> = Network::tagged(&racks, config);
+        let mut model = Model::new(&racks, config);
+        let mut started: Vec<FlowId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                ModelOp::Start(specs) => {
+                    model.advance_to(now);
+                    let first = started.len();
+                    let tagged = specs.iter().enumerate().map(|(i, &(src, dst, bytes))| {
+                        (src, dst, bytes, format!("flow {}", first + i))
+                    });
+                    let ids: Vec<FlowId> = net.start_tagged(now, tagged).collect();
+                    prop_assert_eq!(ids.len(), specs.len());
+                    for (i, (&id, &(src, dst, bytes))) in ids.iter().zip(&specs).enumerate() {
+                        let path = model.path(src, dst);
+                        let remaining_bits = if path.is_empty() { 0.0 } else { bytes as f64 * 8.0 };
+                        model.flows.insert(id, ModelFlow {
+                            src, dst, bytes, started: now, path, remaining_bits,
+                            tag: format!("flow {}", first + i),
+                        });
+                    }
+                    started.extend(ids);
+                    model.changed = true;
+                }
+                ModelOp::Cancel(pick) => {
+                    if started.is_empty() {
+                        continue;
+                    }
+                    let id = started[pick % started.len()];
+                    model.advance_to(now);
+                    let got = net.cancel_tagged(now, id);
+                    match model.flows.remove(&id) {
+                        Some(f) => {
+                            model.changed = true;
+                            let (stats, tag) = got.expect("a live flow cancels");
+                            prop_assert_eq!(tag, f.tag);
+                            prop_assert_eq!(
+                                (stats.src, stats.dst, stats.bytes, stats.started, stats.finished),
+                                (f.src, f.dst, f.bytes, f.started, now)
+                            );
+                        }
+                        None => prop_assert!(got.is_none(), "{id:?} left already"),
+                    }
+                }
+                ModelOp::Drain => {
+                    model.advance_to(now);
+                    let mut drained = Vec::new();
+                    net.drain_tagged(now, |id, stats, tag| drained.push((id, stats, tag)));
+                    let done: Vec<FlowId> = model
+                        .flows
+                        .iter()
+                        .filter(|(_, f)| f.remaining_bits <= 1e-3)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    prop_assert_eq!(drained.len(), done.len());
+                    model.changed |= !done.is_empty();
+                    for ((id, stats, tag), want) in drained.into_iter().zip(done) {
+                        prop_assert_eq!(id, want);
+                        let f = model.flows.remove(&id).unwrap();
+                        prop_assert_eq!(tag, f.tag);
+                        prop_assert_eq!(
+                            (stats.src, stats.dst, stats.bytes, stats.started, stats.finished),
+                            (f.src, f.dst, f.bytes, f.started, now)
+                        );
+                    }
+                }
+                ModelOp::Advance(to_completion, jump_us) => {
+                    now = match net.clone().next_completion() {
+                        Some(t) if to_completion => t.max(now),
+                        _ => now + SimDuration::from_micros(jump_us),
+                    };
+                }
+            }
+            prop_assert_eq!(net.clone().next_completion(), model.next_completion());
+            prop_assert_eq!(net.active_flows(), model.flows.len());
+            let mut live: Vec<(FlowId, String)> =
+                net.flows().map(|(id, tag)| (id, tag.clone())).collect();
+            live.sort();
+            let want: Vec<(FlowId, String)> =
+                model.flows.iter().map(|(&id, f)| (id, f.tag.clone())).collect();
+            prop_assert_eq!(live, want);
+            for (&id, f) in &model.flows {
+                prop_assert_eq!(net.flow_endpoints(id), Some((f.src, f.dst)));
+            }
         }
     }
 }

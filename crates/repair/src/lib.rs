@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cluster::{ClusterState, NodeId, Topology};
 use ecstore::{BlockRef, BlockStore};
-use netsim::{FlowId, FlowLogKind, NetConfig, Network};
+use netsim::{FlowLogKind, NetConfig, Network};
 use obs::event::{LinkSet, SimEvent};
 use obs::sink::{EventSink, Recorder};
 use simkit::time::{SimDuration, SimTime};
@@ -244,7 +244,7 @@ fn flow_log_event(entry: &netsim::FlowLogEntry) -> SimEvent {
 }
 
 /// Forwards any buffered flow-log entries of `net` into `rec`.
-fn drain_flow_log(net: &mut Network, rec: &mut Recorder<'_>) {
+fn drain_flow_log(net: &mut Network<usize>, rec: &mut Recorder<'_>) {
     net.drain_flow_log(|entry| rec.emit(entry.at, || flow_log_event(&entry)));
 }
 
@@ -315,104 +315,89 @@ fn simulate_inner(
     rec: &mut Recorder<'_>,
 ) -> RepairReport {
     assert!(parallelism > 0, "repair needs parallelism >= 1");
-    let mut net = Network::new(&topo.rack_sizes(), net_config);
+    // Each flow is tagged with the index of its repair task.
+    let mut net: Network<usize> = Network::tagged(&topo.rack_sizes(), net_config);
     if rec.is_enabled() {
         net.enable_flow_log();
     }
     let mut now = SimTime::ZERO;
     let mut next_task = 0usize;
-    let mut inflight: BTreeMap<usize, usize> = BTreeMap::new(); // task -> pending flows
-    let mut flow_task: BTreeMap<FlowId, usize> = BTreeMap::new();
+    // Flows still to land per task, and the tasks with some in flight.
+    let mut pending = vec![0usize; plan.tasks.len()];
+    let mut inflight = 0usize;
+    let mut landed: Vec<usize> = Vec::new();
     let mut durations = vec![SimDuration::ZERO; plan.tasks.len()];
     let mut started_at = vec![SimTime::ZERO; plan.tasks.len()];
     let mut bytes = 0u64;
 
-    let start_task = |idx: usize,
-                      now: SimTime,
-                      net: &mut Network,
-                      inflight: &mut BTreeMap<usize, usize>,
-                      flow_task: &mut BTreeMap<FlowId, usize>,
-                      bytes: &mut u64,
-                      started_at: &mut Vec<SimTime>,
-                      rec: &mut Recorder<'_>| {
-        let task = &plan.tasks[idx];
-        started_at[idx] = now;
-        rec.emit(now, || SimEvent::RepairStarted {
-            task: idx as u32,
-            stripe: task.block.stripe.0,
-            pos: task.block.pos as u32,
-            replacement: task.replacement.0,
-        });
-        let specs: Vec<(usize, usize, u64)> = task
-            .network_sources()
-            .map(|(_, holder)| (holder.index(), task.replacement.index(), block_bytes))
-            .collect();
-        for flow in net.start_flows(now, &specs) {
-            flow_task.insert(flow, idx);
+    // Starts tasks while the window has room. A task with no network
+    // source finishes as it starts.
+    let fill_window = |now: SimTime,
+                       next_task: &mut usize,
+                       net: &mut Network<usize>,
+                       pending: &mut [usize],
+                       inflight: &mut usize,
+                       bytes: &mut u64,
+                       started_at: &mut [SimTime],
+                       rec: &mut Recorder<'_>| {
+        while *next_task < plan.tasks.len() && *inflight < parallelism {
+            let idx = *next_task;
+            *next_task += 1;
+            let task = &plan.tasks[idx];
+            started_at[idx] = now;
+            rec.emit(now, || SimEvent::RepairStarted {
+                task: idx as u32,
+                stripe: task.block.stripe.0,
+                pos: task.block.pos as u32,
+                replacement: task.replacement.0,
+            });
+            let fetches = task
+                .network_sources()
+                .map(|(_, holder)| (holder.index(), task.replacement.index(), block_bytes, idx));
+            pending[idx] = net.start_tagged(now, fetches).len();
+            *bytes += block_bytes * pending[idx] as u64;
+            if pending[idx] == 0 {
+                rec.emit(now, || SimEvent::RepairFinished { task: idx as u32 });
+            } else {
+                *inflight += 1;
+            }
         }
-        let pending = specs.len();
-        *bytes += block_bytes * pending as u64;
-        inflight.insert(idx, pending);
-        pending
     };
 
-    // Prime the window.
-    let mut zero_cost_done: Vec<usize> = Vec::new();
-    while next_task < plan.tasks.len() && inflight.len() < parallelism {
-        let pending = start_task(
-            next_task,
-            now,
-            &mut net,
-            &mut inflight,
-            &mut flow_task,
-            &mut bytes,
-            &mut started_at,
-            rec,
-        );
-        if pending == 0 {
-            inflight.remove(&next_task);
-            zero_cost_done.push(next_task);
-            rec.emit(now, || SimEvent::RepairFinished {
-                task: next_task as u32,
-            });
-        }
-        next_task += 1;
-    }
+    fill_window(
+        now,
+        &mut next_task,
+        &mut net,
+        &mut pending,
+        &mut inflight,
+        &mut bytes,
+        &mut started_at,
+        rec,
+    );
     drain_flow_log(&mut net, rec);
     // Drain the network, refilling the window as tasks finish.
-    while !inflight.is_empty() {
-        let t = net
+    while inflight > 0 {
+        now = net
             .next_completion()
             .expect("in-flight repair with no pending completion");
-        now = t;
-        for (flow, _) in net.drain_finished(now) {
-            let idx = flow_task.remove(&flow).expect("flow has an owner");
-            let pending = inflight.get_mut(&idx).expect("task inflight");
-            *pending -= 1;
-            if *pending == 0 {
-                inflight.remove(&idx);
+        // Repair never cancels a flow, so every drained flow counts.
+        net.drain_tagged(now, |_, _, idx| landed.push(idx));
+        for idx in landed.drain(..) {
+            pending[idx] -= 1;
+            if pending[idx] == 0 {
+                inflight -= 1;
                 durations[idx] = now.duration_since(started_at[idx]);
                 rec.emit(now, || SimEvent::RepairFinished { task: idx as u32 });
-                while next_task < plan.tasks.len() && inflight.len() < parallelism {
-                    let pending = start_task(
-                        next_task,
-                        now,
-                        &mut net,
-                        &mut inflight,
-                        &mut flow_task,
-                        &mut bytes,
-                        &mut started_at,
-                        rec,
-                    );
-                    if pending == 0 {
-                        inflight.remove(&next_task);
-                        zero_cost_done.push(next_task);
-                        rec.emit(now, || SimEvent::RepairFinished {
-                            task: next_task as u32,
-                        });
-                    }
-                    next_task += 1;
-                }
+                fill_window(
+                    now,
+                    &mut next_task,
+                    &mut net,
+                    &mut pending,
+                    &mut inflight,
+                    &mut bytes,
+                    &mut started_at,
+                    rec,
+                );
             }
         }
         drain_flow_log(&mut net, rec);

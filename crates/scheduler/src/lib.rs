@@ -45,7 +45,8 @@ impl LocalityFirst {
 
 impl MapScheduler for LocalityFirst {
     fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
-        for job in hb.jobs() {
+        for i in 0..hb.jobs().len() {
+            let job = hb.jobs()[i];
             while hb.free_map_slots() > 0 {
                 if hb.take_node_local(job).is_some()
                     || hb.take_rack_local(job).is_some()
@@ -142,7 +143,8 @@ impl MapScheduler for DegradedFirst {
         // At most one degraded task per heartbeat (Algorithm 2, line 4):
         // two degraded tasks on one slave would compete for its NIC.
         let mut degraded_assigned = false;
-        for job in hb.jobs() {
+        for i in 0..hb.jobs().len() {
+            let job = hb.jobs()[i];
             if !degraded_assigned
                 && hb.free_map_slots() > 0
                 && hb.has_degraded(job)
@@ -204,7 +206,8 @@ impl DelayScheduling {
 
 impl MapScheduler for DelayScheduling {
     fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
-        for job in hb.jobs() {
+        for i in 0..hb.jobs().len() {
+            let job = hb.jobs()[i];
             while hb.free_map_slots() > 0 {
                 if hb.take_node_local(job).is_some() {
                     self.skip_since.remove(&job);

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use dfs::ecstore::FetchPolicy;
 use dfs::experiment::{Experiment, Policy};
-use dfs::obs::event::SimEvent;
+use dfs::obs::event::{DegradedPhase, Locality, SimEvent};
 use dfs::obs::sink::VecSink;
 use dfs::presets;
 use dfs::simkit::time::SimTime;
@@ -81,6 +81,117 @@ fn redundant_fetch_cancels_at_quorum_on_stragglers() {
     assert!(issued > 0, "straggler preset must issue redundant fetches");
     assert!(cancelled > 0, "some extras must lose the race and cancel");
     assert_quorum_cancel_semantics(&events);
+}
+
+#[test]
+fn surplus_fetches_finishing_with_the_quorum_are_silent() {
+    // When a redundant extra finishes in the same network drain as the
+    // flow that completes its attempt's quorum, it has delivered: it is
+    // neither a cancel win (no `FetchCancelled`) nor a second quorum
+    // step. A second step would take `pending_flows` below zero, which
+    // the engine refuses with a panic, so the run completing is part of
+    // the check. The preset is map-only without speculation or churn,
+    // so flows start in the order their attempts launch: none for a
+    // node-local attempt, one for a rack-local or remote one, and a
+    // degraded one's same-rack plus cross-rack sources.
+    let exp = presets::straggler_default(FetchPolicy::Redundant { extra: 2 });
+    let events = trace(&exp, Policy::EnhancedDegradedFirst, 1);
+    let mut launched = Vec::new(); // (job, task, flows wanted)
+    let mut extra = BTreeMap::new(); // (job, task) -> extras issued
+    let mut quorum_at = BTreeMap::new(); // (job, task) -> decode begins
+    let mut started = Vec::new(); // flow ids, in start order
+    let mut finished = BTreeMap::new(); // flow -> (at, cancelled)
+    let mut cancel_wins = BTreeMap::new(); // flow -> ()
+    for &(at, ref ev) in &events {
+        match *ev {
+            SimEvent::MapLaunched {
+                job,
+                task,
+                locality,
+                speculative,
+                ..
+            } => {
+                assert!(!speculative, "the preset does not speculate");
+                let flows = match locality {
+                    Locality::NodeLocal | Locality::Degraded => 0,
+                    Locality::RackLocal | Locality::Remote => 1,
+                };
+                launched.push(((job, task), flows));
+            }
+            SimEvent::DegradedPlan {
+                job,
+                task,
+                same_rack,
+                cross_rack,
+                ..
+            } => {
+                let last = launched.last_mut().expect("a plan follows its launch");
+                assert_eq!(last.0, (job, task));
+                last.1 = same_rack + cross_rack;
+            }
+            SimEvent::RedundantFetchIssued {
+                job,
+                task,
+                extra: n,
+                ..
+            } => {
+                extra.insert((job, task), n);
+            }
+            SimEvent::PhaseBegin {
+                job,
+                task,
+                phase: DegradedPhase::Decode,
+                ..
+            } => assert!(
+                quorum_at.insert((job, task), at).is_none(),
+                "attempt {job}/{task} reached its quorum twice"
+            ),
+            SimEvent::FlowStarted { flow, .. } => started.push(flow),
+            SimEvent::FlowFinished { flow, cancelled } => {
+                finished.insert(flow, (at, cancelled));
+            }
+            SimEvent::FetchCancelled { flow, .. } => {
+                cancel_wins.insert(flow, ());
+            }
+            _ => {}
+        }
+    }
+    let mut flows = started.into_iter();
+    let mut surplus_in_quorum_drain = 0;
+    for (attempt, wanted) in launched {
+        let mine: Vec<u64> = flows.by_ref().take(wanted as usize).collect();
+        assert_eq!(mine.len(), wanted as usize, "flows of {attempt:?}");
+        let Some(&extra) = extra.get(&attempt) else {
+            continue;
+        };
+        let quorum = quorum_at[&attempt];
+        let need = mine.len() - extra as usize;
+        let delivered: Vec<u64> = mine
+            .iter()
+            .copied()
+            .filter(|f| matches!(finished[f], (at, false) if at <= quorum))
+            .collect();
+        assert!(delivered.len() >= need, "{attempt:?} decoded short");
+        surplus_in_quorum_drain += delivered.len() - need;
+        for f in &mine {
+            // Exactly the flows still in flight at the quorum are cancel
+            // wins; a surplus that delivered is silent.
+            let in_flight = !delivered.contains(f);
+            assert_eq!(
+                cancel_wins.contains_key(f),
+                in_flight,
+                "flow {f} of {attempt:?}"
+            );
+            if in_flight {
+                assert_eq!(finished[f], (quorum, true), "flow {f} of {attempt:?}");
+            }
+        }
+    }
+    assert!(flows.next().is_none(), "every flow belongs to an attempt");
+    assert!(
+        surplus_in_quorum_drain > 0,
+        "no redundant fetch finished in its quorum's drain; the case is not exercised"
+    );
 }
 
 #[test]
