@@ -565,9 +565,11 @@ impl<T> Network<T> {
     /// for the whole batch at the last network update. While a flow has
     /// already finished, the answer is that update's instant whatever the
     /// rates, and the drain that must come next changes the flow set
-    /// again, so the reallocation waits for it.
+    /// again, so the reallocation waits for it. That holds even when
+    /// nothing changed since the last settle: time may have moved past
+    /// the instant that settle found.
     pub fn next_completion(&mut self) -> Option<SimTime> {
-        if self.dirty && self.done_flows > 0 {
+        if self.done_flows > 0 {
             return Some(self.last_advanced);
         }
         self.settle();
@@ -1171,6 +1173,26 @@ mod batch_tests {
         net.cancel_flow(t, u);
         assert!(net.next_completion().unwrap() > t);
         assert_eq!(net.reallocations(), 2);
+    }
+
+    #[test]
+    fn a_finished_flow_is_due_at_the_last_update_after_time_moves_on() {
+        // The settle after the cancel finds the second flow due at
+        // `done`. Later calls that change no flow move time past `done`
+        // without a settle; the next completion must follow them, or
+        // draining at it would move the network back in time.
+        let mut net = Network::new(&[2, 2], NetConfig::uniform(100_000_000));
+        let ids = net.start_flows(SimTime::ZERO, &[(0, 2, 1 << 20), (1, 3, 1 << 20)]);
+        net.cancel_flow(SimTime::ZERO, ids[0]);
+        let done = net.next_completion().unwrap();
+        assert!(net.cancel_flow(done, ids[0]).is_none());
+        assert_eq!(net.next_completion(), Some(done));
+        let later = done + SimDuration::from_micros(5);
+        assert!(net.cancel_flow(later, ids[0]).is_none());
+        assert_eq!(net.next_completion(), Some(later));
+        let finished: Vec<FlowId> = net.drain_finished(later).iter().map(|f| f.0).collect();
+        assert_eq!(finished, vec![ids[1]]);
+        assert_eq!(net.next_completion(), None);
     }
 
     #[test]

@@ -213,10 +213,14 @@ impl Model {
         self.last = now;
     }
 
-    /// `now + max(1, ceil(remaining / rate · 1e6))` µs per flow, or
-    /// `now` for a finished one, the earliest of them, where `now` is
-    /// the instant of the last change.
+    /// The instant of the last call while any flow is finished;
+    /// otherwise `now + max(1, ceil(remaining / rate · 1e6))` µs per
+    /// flow, the earliest of them, where `now` is the instant of the
+    /// last change.
     fn next_completion(&self) -> Option<SimTime> {
+        if self.flows.values().any(|f| f.remaining_bits <= 1e-3) {
+            return Some(self.last);
+        }
         if !self.changed {
             return self.next;
         }
@@ -225,12 +229,8 @@ impl Model {
             .values()
             .zip(self.rates())
             .map(|(flow, rate)| {
-                if flow.remaining_bits <= 1e-3 {
-                    now
-                } else {
-                    let micros = (flow.remaining_bits / rate * 1e6).ceil() as u64;
-                    now + SimDuration::from_micros(micros.max(1))
-                }
+                let micros = (flow.remaining_bits / rate * 1e6).ceil() as u64;
+                now + SimDuration::from_micros(micros.max(1))
             })
             .min()
     }
@@ -651,7 +651,7 @@ proptest! {
                 }
                 ModelOp::Advance(to_completion, jump_us) => {
                     now = match net.clone().next_completion() {
-                        Some(t) if to_completion => t.max(now),
+                        Some(t) if to_completion => t,
                         _ => now + SimDuration::from_micros(jump_us),
                     };
                 }
