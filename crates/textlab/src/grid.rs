@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use cluster::{ClusterState, NodeId, Topology};
 use ecstore::placement::RoundRobinPlacement;
 use ecstore::{BlockRef, BlockStore, StripeLayout};
-use erasure::stripe::{group_into_stripes, split_into_blocks};
+use erasure::stripe::split_into_blocks;
 use erasure::{CodeError, CodeParams, StripeCodec};
 use simkit::SimRng;
 
@@ -119,9 +119,11 @@ impl MiniGrid {
         if file.is_empty() {
             return Err(GridError::EmptyFile);
         }
-        let blocks = split_into_blocks(file, block_size);
-        let stripes = group_into_stripes(&blocks, params.k());
-        let num_native = stripes.len() * params.k();
+        let k = params.k();
+        let mut natives = split_into_blocks(file, block_size);
+        let num_native = natives.len().div_ceil(k) * k;
+        // Zero blocks pad the final stripe.
+        natives.resize(num_native, vec![0; block_size]);
         let layout =
             StripeLayout::new(params, num_native).map_err(|e| GridError::Layout(e.to_string()))?;
         let mut rng = SimRng::seed_from_u64(seed);
@@ -132,9 +134,15 @@ impl MiniGrid {
         let store = BlockStore::place(&topo, layout, &RoundRobinPlacement, &mut placement_rng)
             .map_err(|e| GridError::Layout(e.to_string()))?;
         let codec = StripeCodec::new(params)?;
+        // The natives move into `shards` stripe by stripe, each followed
+        // by its parity, so the grid holds the file's bytes only once.
         let mut shards = Vec::with_capacity(store.layout().num_blocks());
-        for natives in &stripes {
-            shards.extend(codec.encode(natives)?);
+        let mut natives = natives.into_iter();
+        for _ in 0..num_native / k {
+            let start = shards.len();
+            shards.extend(natives.by_ref().take(k));
+            let parity = codec.reed_solomon().encode_parity(&shards[start..])?;
+            shards.extend(parity);
         }
         let state = ClusterState::all_alive(&topo);
         Ok(MiniGrid {

@@ -12,8 +12,26 @@
 //! record-reader convention: the mapper of block `i > 0` skips the bytes
 //! up to the first newline (they belong to block `i−1`'s reader, which
 //! reads past its block end to finish its last record).
+//!
+//! # Map, combine, reduce
+//!
+//! Map emits borrowed keys: a word or a line is a slice of the block it
+//! was read from, so mapping a valid UTF-8 record allocates nothing.
+//! Each block's pairs go through a combiner, as in Hadoop: a hash map
+//! from borrowed key to count, whose hasher takes no random seed, so
+//! nothing depends on process randomness. At the end of the block its
+//! distinct keys are copied out once, as owned strings, and appended to
+//! the job's run. The reduce is one sort of that run by key, a merge of
+//! equal neighbours by summing their counts, and a bulk build of the
+//! output map from the sorted, unique keys.
+//!
+//! The output does not depend on the combiner's iteration order: after
+//! the merge every key appears once, and a sum of `u64` counts is the
+//! same in any order.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::grid::{GridError, MiniGrid, ReadStats};
 
@@ -24,8 +42,8 @@ pub trait TextJob {
     fn name(&self) -> &str;
 
     /// Emits `(key, count)` pairs for one input line (without the
-    /// trailing newline).
-    fn map_line(&self, line: &str, emit: &mut dyn FnMut(String, u64));
+    /// trailing newline). Keys borrow from the line.
+    fn map_line<'a>(&self, line: &'a str, emit: &mut dyn FnMut(&'a str, u64));
 }
 
 /// Counts the occurrences of each word.
@@ -37,9 +55,9 @@ impl TextJob for WordCount {
         "WordCount"
     }
 
-    fn map_line(&self, line: &str, emit: &mut dyn FnMut(String, u64)) {
+    fn map_line<'a>(&self, line: &'a str, emit: &mut dyn FnMut(&'a str, u64)) {
         for word in line.split_whitespace() {
-            emit(word.to_string(), 1);
+            emit(word, 1);
         }
     }
 }
@@ -64,9 +82,9 @@ impl TextJob for Grep {
         "Grep"
     }
 
-    fn map_line(&self, line: &str, emit: &mut dyn FnMut(String, u64)) {
+    fn map_line<'a>(&self, line: &'a str, emit: &mut dyn FnMut(&'a str, u64)) {
         if line.contains(&self.needle) {
-            emit(line.to_string(), 1);
+            emit(line, 1);
         }
     }
 }
@@ -80,8 +98,8 @@ impl TextJob for LineCount {
         "LineCount"
     }
 
-    fn map_line(&self, line: &str, emit: &mut dyn FnMut(String, u64)) {
-        emit(line.to_string(), 1);
+    fn map_line<'a>(&self, line: &'a str, emit: &mut dyn FnMut(&'a str, u64)) {
+        emit(line, 1);
     }
 }
 
@@ -101,13 +119,47 @@ impl JobOutput {
     }
 }
 
+/// One block's combiner: borrowed key → summed count.
+type Combiner<'a> = HashMap<&'a str, u64, BuildHasherDefault<KeyHasher>>;
+
+/// A multiplicative word-at-a-time hasher (the Fx hash), seeded with
+/// zero. Runs must not depend on a random seed, and SipHash with fixed,
+/// public keys resists crafted collisions no better, so the faster hash
+/// gives up no protection.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().unwrap_or_default()));
+        }
+        let mut tail = [0; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Runs a [`TextJob`] over every data block of the grid, reconstructing
 /// lost blocks via degraded reads, and reduces the intermediate pairs.
 ///
 /// Record splitting follows Hadoop's `TextInputFormat`: each mapper
 /// starts after the first newline of its block (except block 0) and
 /// reads past the block end into the next block to finish its final
-/// record.
+/// record. The records are exactly those of the whole file split on
+/// `b'\n'` (a final record without a newline included when non-empty),
+/// each decoded with [`String::from_utf8_lossy`].
 ///
 /// # Errors
 ///
@@ -116,11 +168,10 @@ pub fn run_job(grid: &mut MiniGrid, job: &dyn TextJob) -> Result<JobOutput, Grid
     let before = grid.stats();
     let blocks = grid.num_data_blocks();
     let file_len = grid.file_len();
-    let mut results: BTreeMap<String, u64> = BTreeMap::new();
-    let mut emit = |key: String, count: u64| {
-        *results.entry(key).or_default() += count;
-    };
-
+    // Every block's combined pairs, reduced by one sort at the end.
+    let mut run: Vec<(String, u64)> = Vec::new();
+    let mut distinct = 0;
+    // The record that straddles into the current block, as read so far.
     let mut carry: Vec<u8> = Vec::new();
     for i in 0..blocks {
         let mut bytes = grid.read_native(i)?;
@@ -130,24 +181,47 @@ pub fn run_job(grid: &mut MiniGrid, job: &dyn TextJob) -> Result<JobOutput, Grid
             let real = file_len - i * block_size;
             bytes.truncate(real.min(block_size));
         }
-        // Prepend the carry (the partial record at the end of the
-        // previous block).
-        let mut data = std::mem::take(&mut carry);
-        data.extend_from_slice(&bytes);
-        // Process all complete lines; keep the trailing partial line as
-        // the next carry.
-        let mut start = 0usize;
-        for (pos, _) in data.iter().enumerate().filter(|&(_, &b)| b == b'\n') {
-            let line = String::from_utf8_lossy(&data[start..pos]);
-            job.map_line(&line, &mut emit);
-            start = pos + 1;
+        let newline = |b: &u8| *b == b'\n';
+        let (Some(first), Some(last)) = (
+            bytes.iter().position(newline),
+            bytes.iter().rposition(newline),
+        ) else {
+            carry.extend_from_slice(&bytes);
+            continue;
+        };
+        // The carried record ends at this block's first newline; the
+        // complete lines after it are mapped in place.
+        carry.extend_from_slice(&bytes[..first]);
+        let mut combiner = Combiner::with_capacity_and_hasher(distinct, Default::default());
+        map_record(job, &carry, &mut combiner, &mut run);
+        // `bytes[first..last]` starts with the first newline, so its
+        // first piece is empty.
+        for line in bytes[first..last].split(newline).skip(1) {
+            map_record(job, line, &mut combiner, &mut run);
         }
-        carry = data[start..].to_vec();
+        distinct = combiner.len();
+        run.extend(
+            combiner
+                .into_iter()
+                .map(|(key, count)| (key.to_owned(), count)),
+        );
+        carry.clear();
+        carry.extend_from_slice(&bytes[last + 1..]);
     }
     if !carry.is_empty() {
         let line = String::from_utf8_lossy(&carry);
-        job.map_line(&line, &mut emit);
+        job.map_line(&line, &mut |key, count| run.push((key.to_owned(), count)));
     }
+
+    run.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    run.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    let results = BTreeMap::from_iter(run);
 
     let after = grid.stats();
     let stats = ReadStats {
@@ -157,6 +231,25 @@ pub fn run_job(grid: &mut MiniGrid, job: &dyn TextJob) -> Result<JobOutput, Grid
         cross_rack_transfers: after.cross_rack_transfers - before.cross_rack_transfers,
     };
     Ok(JobOutput { results, stats })
+}
+
+/// Maps one record. A valid UTF-8 record's pairs go to the combiner
+/// with keys borrowed from `record`; a lossy-decoded one's keys borrow
+/// the decoded copy, so its pairs go straight into the run.
+fn map_record<'a>(
+    job: &dyn TextJob,
+    record: &'a [u8],
+    combiner: &mut Combiner<'a>,
+    run: &mut Vec<(String, u64)>,
+) {
+    match String::from_utf8_lossy(record) {
+        Cow::Borrowed(line) => job.map_line(line, &mut |key, count| {
+            *combiner.entry(key).or_default() += count;
+        }),
+        Cow::Owned(line) => job.map_line(&line, &mut |key, count| {
+            run.push((key.to_owned(), count));
+        }),
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Property-based tests for the real-bytes data path: Hadoop-style
 //! record splitting must be exact for arbitrary corpora and block sizes,
-//! in both healthy and failure mode.
+//! in both healthy and failure mode, including bytes that are not
+//! valid UTF-8.
 
 use cluster::{NodeId, Topology};
 use erasure::CodeParams;
@@ -39,8 +40,83 @@ fn oracle_linecount(text: &[u8]) -> BTreeMap<String, u64> {
     counts
 }
 
+fn arbitrary_bytes() -> impl Strategy<Value = Vec<u8>> {
+    // Pieces that stress record splitting: multi-byte UTF-8 (a block
+    // boundary may cut any of them), Unicode whitespace, invalid bytes,
+    // `\r`, and runs of newlines that make empty lines.
+    let piece = prop_oneof![
+        6 => prop_oneof![Just(&b"a"[..]), Just(&b"b"[..]), Just(&b" "[..])],
+        2 => Just(&b"\n"[..]),
+        1 => Just(&b"\r"[..]),
+        1 => Just(&b"\xFF"[..]),
+        1 => Just("\u{e9}".as_bytes()),
+        1 => Just("\u{20ac}".as_bytes()),
+        1 => Just("\u{1d11e}".as_bytes()),
+        1 => Just("\u{a0}".as_bytes()),
+        1 => Just("\u{3000}".as_bytes()),
+    ];
+    proptest::collection::vec(piece, 1..600).prop_map(|pieces| pieces.concat())
+}
+
+/// The records `run_job` documents: the whole file split on `b'\n'`
+/// only (a `\r` stays in its line), the empty piece after a final
+/// newline dropped, each record decoded with `from_utf8_lossy`.
+fn oracle_records(text: &[u8]) -> Vec<String> {
+    let mut records: Vec<&[u8]> = text.split(|&b| b == b'\n').collect();
+    if records.last().is_some_and(|r| r.is_empty()) {
+        records.pop();
+    }
+    records
+        .into_iter()
+        .map(|r| String::from_utf8_lossy(r).into_owned())
+        .collect()
+}
+
+fn count<'a>(keys: impl Iterator<Item = &'a str>) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::new();
+    for key in keys {
+        *counts.entry(key.to_string()).or_default() += 1;
+    }
+    counts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn record_splitting_is_exact_over_arbitrary_bytes(
+        text in arbitrary_bytes(),
+        block_size in 1usize..128,
+        fail in proptest::option::of(0u32..6),
+        seed in any::<u64>(),
+    ) {
+        let topo = Topology::homogeneous(2, 3, 2, 1);
+        let mut grid = MiniGrid::new(
+            topo,
+            CodeParams::new(4, 2).unwrap(),
+            block_size,
+            &text,
+            seed,
+        )
+        .unwrap();
+        if let Some(f) = fail {
+            grid.fail_node(NodeId(f));
+        }
+        let records = oracle_records(&text);
+        let needle = "\u{e9}";
+        let wc = run_job(&mut grid, &WordCount).unwrap();
+        prop_assert_eq!(
+            wc.results,
+            count(records.iter().flat_map(|r| r.split_whitespace()))
+        );
+        let lc = run_job(&mut grid, &LineCount).unwrap();
+        prop_assert_eq!(lc.results, count(records.iter().map(String::as_str)));
+        let grep = run_job(&mut grid, &Grep::new(needle)).unwrap();
+        prop_assert_eq!(
+            grep.results,
+            count(records.iter().map(String::as_str).filter(|r| r.contains(needle)))
+        );
+    }
 
     #[test]
     fn block_splitting_never_corrupts_records(

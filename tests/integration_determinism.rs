@@ -63,7 +63,11 @@ fn runs_across_threads_match_runs_in_sequence() {
 /// drift — scheduling order, rates, timestamps — changes the digest.
 fn run_digest(exp: &dfs::experiment::Experiment, policy: Policy, seed: u64) -> u64 {
     let result = exp.run(policy, seed).expect("run");
-    let rendered = format!("{result:?}|{:016x}", result.makespan.as_micros());
+    fnv1a(&format!("{result:?}|{:016x}", result.makespan.as_micros()))
+}
+
+/// 64-bit FNV-1a over the bytes of `rendered`.
+fn fnv1a(rendered: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in rendered.bytes() {
         h ^= b as u64;
@@ -155,3 +159,41 @@ fn textlab_grid_is_deterministic() {
     let b = run_job(&mut make(), &WordCount).unwrap();
     assert_eq!(a, b);
 }
+
+/// Golden digests of the three text jobs' full `JobOutput` (every key,
+/// count and read statistic) on the CLI's testbed setup: a 20k-line
+/// corpus coded (12,10) in 16 KiB blocks with one node failed. A
+/// mismatch means record splitting, the reduce or the degraded-read
+/// path changed what a job reports.
+#[test]
+fn text_job_output_goldens_are_stable() {
+    use dfs::cluster::{NodeId, Topology};
+    use dfs::erasure::CodeParams;
+    use dfs::textlab::{run_job, CorpusBuilder, Grep, LineCount, MiniGrid, TextJob, WordCount};
+
+    let text = CorpusBuilder::new(1).lines(20_000).build();
+    let topo = Topology::homogeneous(3, 4, 4, 1);
+    let mut grid =
+        MiniGrid::new(topo, CodeParams::new(12, 10).unwrap(), 16 * 1024, &text, 7).unwrap();
+    grid.fail_node(NodeId(2));
+    let grep = Grep::new("whale");
+    let cases: [(&dyn TextJob, u64); 3] = [
+        (&WordCount, GOLDEN_WORDCOUNT),
+        (&LineCount, GOLDEN_LINECOUNT),
+        (&grep, GOLDEN_GREP),
+    ];
+    for (job, want) in cases {
+        let output = run_job(&mut grid, job).expect("job runs");
+        assert!(
+            output.stats.degraded_reads > 0,
+            "{} read no lost block",
+            job.name()
+        );
+        let got = fnv1a(&format!("{output:?}"));
+        assert_eq!(got, want, "{} output drifted: got {got:#018x}", job.name());
+    }
+}
+
+const GOLDEN_WORDCOUNT: u64 = 0x39c4_f067_2f61_8cd3;
+const GOLDEN_LINECOUNT: u64 = 0x83fb_a770_f7c3_3968;
+const GOLDEN_GREP: u64 = 0x7907_2aa9_ca8a_c4df;
