@@ -253,6 +253,8 @@ pub struct Network<T = ()> {
     dirty: bool,
     /// Number of settles that reallocated rates.
     reallocations: u64,
+    /// Number of flows those settles froze (refilled).
+    refilled: u64,
     /// Active flows with nothing left to send, which the next
     /// [`Network::drain_tagged`] removes.
     done_flows: usize,
@@ -275,6 +277,9 @@ pub struct Network<T = ()> {
     /// start and finish on every simulated transfer without rebuilding
     /// it or allocating.
     incidence: FlowIncidence,
+    /// Per round of the incidence's last fill, the slot of its flow with
+    /// the least `remaining_bits`: the round's first completion.
+    round_min: Vec<u32>,
 }
 
 /// Residual bits below which a flow counts as finished (absorbs the
@@ -348,6 +353,7 @@ impl<T> Network<T> {
             next_done: None,
             dirty: false,
             reallocations: 0,
+            refilled: 0,
             done_flows: 0,
             utilization_log: None,
             flow_log: None,
@@ -355,6 +361,7 @@ impl<T> Network<T> {
             finished: Vec::new(),
             rack_bps: config.rack_bps as f64,
             incidence: FlowIncidence::new(),
+            round_min: Vec::new(),
         }
     }
 
@@ -405,6 +412,13 @@ impl<T> Network<T> {
     /// however many operations the batch held.
     pub fn reallocations(&self) -> u64 {
         self.reallocations
+    }
+
+    /// How many flows reallocations have frozen: each settle refills
+    /// only the rounds of the last fill that its changes can move, so
+    /// this counts its flow visits, not flows times settles.
+    pub fn flows_refilled(&self) -> u64 {
+        self.refilled
     }
 
     /// Number of nodes.
@@ -507,6 +521,15 @@ impl<T> Network<T> {
         self.incidence.swap_remove(slot);
         if let Some(moved) = self.flows.get(slot) {
             self.slot_of[(moved.id.0 - self.first_id) as usize] = slot as u32;
+            // The moved flow may be its round's first completion.
+            let last = self.flows.len() as u32;
+            let min = self
+                .incidence
+                .round(slot)
+                .and_then(|round| self.round_min.get_mut(round as usize));
+            if let Some(min) = min.filter(|min| **min == last) {
+                *min = slot as u32;
+            }
         }
         self.slot_of[(flow.id.0 - self.first_id) as usize] = NO_SLOT;
         while self.slot_of.front() == Some(&NO_SLOT) {
@@ -652,11 +675,13 @@ impl<T> Network<T> {
 
     /// Reallocates rates and finds the next completion, once, for every
     /// change since the last settle; a no-op when nothing changed. Runs
-    /// at `last_advanced`, the instant of those changes, in one pass:
-    /// each flow's completion instant is computed as progressive filling
-    /// freezes its rate. Rates are a function of the flow set, so
-    /// settling once gives bit for bit what settling after each change
-    /// would have ended on.
+    /// at `last_advanced`, the instant of those changes. Only the rounds
+    /// of the last fill that the changes can move are refilled; as they
+    /// freeze their flows, each round's least-remaining flow is kept, so
+    /// the next completion takes one division per round (the per-flow
+    /// minimum bit for bit; see the fairshare module docs). Rates are a
+    /// function of the flow set, so settling once gives bit for bit what
+    /// settling after each change would have ended on.
     fn settle(&mut self) {
         if !self.dirty {
             return;
@@ -664,20 +689,19 @@ impl<T> Network<T> {
         self.dirty = false;
         self.reallocations += 1;
         let now = self.last_advanced;
-        // A finished flow, loopbacks included, completes now.
-        let mut earliest = if self.done_flows > 0 {
-            now
-        } else {
-            SimTime::MAX
-        };
         let flows = &mut self.flows;
+        let round_min = &mut self.round_min;
         let rate_changed = &mut self.rate_changed;
         let logging = self.flow_log.is_some();
+        // Rounds come in ascending order; the first flow of each round
+        // refilled replaces what the last settle left from that round on.
+        let mut begun = 0;
+        let mut refilled = 0;
         // Only the links current flows cross are touched, which keeps
         // per-event reallocation independent of the topology's total
         // link count (bit-identical to `max_min_rates_ref`; see the
         // fairshare module docs). The incidence's slots follow `flows`.
-        self.incidence.compute(&self.capacities, |slot, rate| {
+        self.incidence.compute(&self.capacities, |slot, r, rate| {
             let flow = &mut flows[slot];
             // Fairshare rates are a deterministic function of the flow
             // set, so exact f64 comparison suffices to detect changes.
@@ -685,16 +709,36 @@ impl<T> Network<T> {
                 rate_changed.push(slot as u32);
             }
             flow.rate_bps = rate;
-            let done_at = if flow.remaining_bits <= DONE_EPS_BITS {
-                now
-            } else {
-                let secs = flow.remaining_bits / rate;
-                let micros = (secs * 1e6).ceil() as u64;
-                now + SimDuration::from_micros(micros.max(1))
-            };
-            earliest = earliest.min(done_at);
+            refilled += 1;
+            let (remaining, round) = (flow.remaining_bits, r as usize);
+            if round >= begun {
+                round_min.truncate(round);
+                debug_assert_eq!(round_min.len(), round);
+                round_min.push(slot as u32);
+                begun = round + 1;
+            } else if remaining < flows[round_min[round] as usize].remaining_bits {
+                round_min[round] = slot as u32;
+            }
         });
-        self.next_done = (!self.flows.is_empty()).then_some(earliest);
+        self.refilled += refilled;
+        self.round_min.truncate(self.incidence.rounds());
+        self.next_done = if self.flows.is_empty() {
+            None
+        } else if self.done_flows > 0 {
+            // A finished flow, loopbacks included, completes now.
+            Some(now)
+        } else {
+            let secs = self
+                .round_min
+                .iter()
+                .map(|&slot| {
+                    let flow = &self.flows[slot as usize];
+                    flow.remaining_bits / flow.rate_bps
+                })
+                .fold(f64::INFINITY, f64::min);
+            let micros = (secs * 1e6).ceil() as u64;
+            Some(now + SimDuration::from_micros(micros.max(1)))
+        };
         if let Some(log) = &mut self.flow_log {
             // Slot order, which traced streams and their goldens pin.
             self.rate_changed.sort_unstable();
@@ -1193,6 +1237,91 @@ mod batch_tests {
         let finished: Vec<FlowId> = net.drain_finished(later).iter().map(|f| f.0).collect();
         assert_eq!(finished, vec![ids[1]]);
         assert_eq!(net.next_completion(), None);
+    }
+
+    /// The earliest completion of `flows` — `(remaining_bits, rate)`
+    /// pairs — at `now` by the per-flow formula.
+    fn formula(now: SimTime, flows: &[(f64, f64)]) -> SimTime {
+        flows
+            .iter()
+            .map(|&(bits, rate)| {
+                let micros = (bits / rate * 1e6).ceil() as u64;
+                now + SimDuration::from_micros(micros.max(1))
+            })
+            .min()
+            .unwrap()
+    }
+
+    /// Rack 0 of `[4, 4]` at 100 Mbps: round 0 holds node 0's three
+    /// flows at a third of its uplink; round 1 holds `1 → 2` and
+    /// `2 → 1` at the two thirds their downlinks have left.
+    fn two_rounds() -> (Network, Vec<FlowId>) {
+        let mut net = Network::new(&[4, 4], NetConfig::uniform(100_000_000));
+        let ids = net.start_flows(
+            SimTime::ZERO,
+            &[
+                (0, 1, 1 << 30),
+                (0, 2, 1 << 30),
+                (0, 3, 1 << 30),
+                (1, 2, 1 << 30),
+                (2, 1, 1 << 30),
+            ],
+        );
+        net.next_completion();
+        assert_eq!(net.flows_refilled(), 5);
+        (net, ids)
+    }
+
+    #[test]
+    fn a_departure_from_the_top_round_refills_only_that_round() {
+        let (mut net, ids) = two_rounds();
+        net.cancel_flow(SimTime::from_secs(1), ids[3]);
+        net.next_completion();
+        assert_eq!(net.flows_refilled(), 5 + 1, "only `2 → 1` is refilled");
+    }
+
+    #[test]
+    fn an_arrival_on_an_idle_rack_refills_no_lower_round() {
+        let (mut net, _) = two_rounds();
+        // Its links' full capacity lies above both levels.
+        net.start_flows(SimTime::from_secs(1), &[(4, 5, 1 << 30)]);
+        net.next_completion();
+        assert_eq!(net.flows_refilled(), 5 + 1, "only the arrival is refilled");
+    }
+
+    #[test]
+    fn a_settle_with_no_routed_change_refills_no_flow() {
+        let (mut net, _) = two_rounds();
+        let t = SimTime::from_secs(1);
+        net.start_flows(t, &[(3, 3, 1 << 20)]);
+        assert_eq!(net.next_completion(), Some(t));
+        net.drain_finished(t);
+        net.next_completion();
+        assert_eq!(net.reallocations(), 2);
+        assert_eq!(net.flows_refilled(), 5);
+    }
+
+    #[test]
+    fn a_kept_rounds_first_completion_follows_its_flow_across_a_swap_remove() {
+        // Round 0 is node 0's two flows at 50 Mbps; the shorter one sits
+        // in the last slot. Round 1 is `1 → 0` alone at 100 Mbps.
+        let mut net = Network::new(&[3], NetConfig::uniform(100_000_000));
+        let ids = net.start_flows(
+            SimTime::ZERO,
+            &[(1, 0, 1 << 30), (0, 1, 1 << 30), (0, 2, 1 << 25)],
+        );
+        net.next_completion();
+        // Cancelling `1 → 0` moves the shorter flow into slot 0, and the
+        // settle keeps round 0 without refilling it.
+        let t = SimTime::from_secs(1);
+        net.cancel_flow(t, ids[0]);
+        let done = net.next_completion().unwrap();
+        assert_eq!(net.flows_refilled(), 3);
+        let bits = |bytes: u64| bytes as f64 * 8.0 - 5e7;
+        let want = formula(t, &[(bits(1 << 30), 5e7), (bits(1 << 25), 5e7)]);
+        assert_eq!(done, want);
+        let finished: Vec<FlowId> = net.drain_finished(done).iter().map(|f| f.0).collect();
+        assert_eq!(finished, vec![ids[2]]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the flow-level network: feasibility and
 //! max-min optimality of rate allocations, byte conservation,
 //! monotonicity of completion under contention, settling a batch of
-//! same-instant changes once, and the one-pass settle against a model
-//! built on the reference allocator.
+//! same-instant changes once, the one-pass settle against a model
+//! built on the reference allocator, and fills resumed after arrivals
+//! and departures at every level.
 
 use std::collections::BTreeMap;
 
@@ -34,24 +35,31 @@ fn incidence_of(paths: &[Vec<usize>]) -> FlowIncidence {
     incidence
 }
 
-/// The incidence's rates by slot, loopbacks at infinity; each routed
-/// flow must be reported exactly once.
+/// The incidence's rates by slot after a compute, loopbacks at
+/// infinity: a refilled flow's as reported, a kept flow's as its round's
+/// level. Each refilled flow must be reported exactly once, at its
+/// round's level.
 fn rates_of(incidence: &mut FlowIncidence, caps: &[f64]) -> Vec<f64> {
-    let mut rates: Vec<f64> = (0..incidence.len())
-        .map(|slot| {
-            if incidence.links(slot).is_empty() {
+    let mut reported = vec![None; incidence.len()];
+    incidence.compute(caps, |slot, round, rate| {
+        assert!(reported[slot].is_none(), "slot {slot} reported twice");
+        reported[slot] = Some((round, rate.to_bits()));
+    });
+    (0..incidence.len())
+        .map(|slot| match incidence.round(slot) {
+            None => {
+                assert!(incidence.links(slot).is_empty(), "slot {slot} never frozen");
                 f64::INFINITY
-            } else {
-                f64::NAN
+            }
+            Some(round) => {
+                let level = incidence.level(round);
+                if let Some(got) = reported[slot] {
+                    assert_eq!(got, (round, level.to_bits()), "slot {slot} off its round");
+                }
+                level
             }
         })
-        .collect();
-    incidence.compute(caps, |slot, rate| {
-        assert!(rates[slot].is_nan(), "slot {slot} reported twice");
-        rates[slot] = rate;
-    });
-    assert!(rates.iter().all(|r| !r.is_nan()), "a flow was not reported");
-    rates
+        .collect()
 }
 
 /// Max-min rates of `paths` through a fresh incidence.
@@ -78,6 +86,50 @@ fn op(num_links: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One change to an incidence between fills, aimed at the last fill's
+/// rounds.
+#[derive(Clone, Debug)]
+enum LevelOp {
+    /// A flow starts over the links `mask` picks (at least one) of flow
+    /// `flow` among those frozen in round `round`, plus link `extra`.
+    Across {
+        round: usize,
+        flow: usize,
+        mask: u8,
+        extra: Option<usize>,
+    },
+    /// Flow `flow` among those frozen in round `round` leaves.
+    Depart { round: usize, flow: usize },
+    /// A flow starts over these links.
+    Start(Vec<usize>),
+    /// A flow on `link` starts and leaves, and with `again` a second one
+    /// starts; without, the link the flow crossed is one whose capacity
+    /// must never be read.
+    Flap { link: usize, again: bool },
+}
+
+fn level_op(num_links: usize) -> impl Strategy<Value = LevelOp> {
+    prop_oneof![
+        4 => (any::<usize>(), any::<usize>(), 1u8..16, proptest::option::of(0..num_links))
+            .prop_map(|(round, flow, mask, extra)| LevelOp::Across { round, flow, mask, extra }),
+        3 => (any::<usize>(), any::<usize>()).prop_map(|(round, flow)| LevelOp::Depart { round, flow }),
+        1 => proptest::collection::vec(0..num_links, 1..=MAX_HOPS).prop_map(LevelOp::Start),
+        1 => (0..num_links, any::<bool>()).prop_map(|(link, again)| LevelOp::Flap { link, again }),
+    ]
+}
+
+/// The slots of the flows the incidence's last fill froze in round
+/// `pick % rounds`.
+fn frozen_in_round(incidence: &FlowIncidence, pick: usize) -> Vec<usize> {
+    if incidence.rounds() == 0 {
+        return Vec::new();
+    }
+    let round = (pick % incidence.rounds()) as u32;
+    (0..incidence.len())
+        .filter(|&slot| incidence.round(slot) == Some(round))
+        .collect()
+}
+
 /// One call on a [`Network`] at the current instant.
 #[derive(Clone, Debug)]
 enum NetOp {
@@ -95,6 +147,45 @@ fn net_op() -> impl Strategy<Value = NetOp> {
             .prop_map(NetOp::Start),
         2 => any::<usize>().prop_map(NetOp::Cancel),
         2 => Just(NetOp::Drain),
+    ]
+}
+
+/// One change to a network at the current instant, aimed at the levels
+/// of the reference rates.
+#[derive(Clone, Debug)]
+enum LevelNetOp {
+    /// A flow from the source of flow `flow` at level `level` to `other`
+    /// (`from_src`), or from `other` to its destination.
+    Across {
+        level: usize,
+        flow: usize,
+        other: usize,
+        from_src: bool,
+        bytes: u64,
+    },
+    /// Flow `flow` at level `level` is cancelled.
+    Depart { level: usize, flow: usize },
+    /// `src → dst` starts and is cancelled, and with `again` starts anew.
+    Flap { src: usize, dst: usize, again: bool },
+    /// `drain_finished`.
+    Drain,
+    /// Moves the clock to the next completion, or by this many
+    /// microseconds.
+    Advance(bool, u64),
+}
+
+fn level_net_op() -> impl Strategy<Value = LevelNetOp> {
+    let bytes = 1u64..40_000_000;
+    prop_oneof![
+        4 => (any::<usize>(), any::<usize>(), 0usize..8, any::<bool>(), bytes.clone())
+            .prop_map(|(level, flow, other, from_src, bytes)| {
+                LevelNetOp::Across { level, flow, other, from_src, bytes }
+            }),
+        2 => (any::<usize>(), any::<usize>()).prop_map(|(level, flow)| LevelNetOp::Depart { level, flow }),
+        1 => (0usize..8, 0usize..8, any::<bool>())
+            .prop_map(|(src, dst, again)| LevelNetOp::Flap { src, dst, again }),
+        2 => Just(LevelNetOp::Drain),
+        3 => (any::<bool>(), 1u64..3_000_000).prop_map(|(to, us)| LevelNetOp::Advance(to, us)),
     ]
 }
 
@@ -195,6 +286,66 @@ impl Model {
     fn rates(&self) -> Vec<f64> {
         let paths: Vec<Vec<usize>> = self.flows.values().map(|f| f.path.clone()).collect();
         max_min_rates_ref(&self.caps, &paths)
+    }
+
+    /// The live flow `flow % n` among the `n` routed flows at the
+    /// `level % levels`-th of the distinct reference rates, ascending.
+    fn at_level(&self, level: usize, flow: usize) -> Option<FlowId> {
+        let rated: Vec<(FlowId, f64)> = self
+            .flows
+            .keys()
+            .copied()
+            .zip(self.rates())
+            .filter(|&(_, rate)| rate.is_finite())
+            .collect();
+        let mut levels: Vec<f64> = rated.iter().map(|&(_, rate)| rate).collect();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let rate = *levels.get(level % levels.len().max(1))?;
+        let ids: Vec<FlowId> = rated.iter().filter(|r| r.1 == rate).map(|r| r.0).collect();
+        Some(ids[flow % ids.len()])
+    }
+
+    /// `start_flows` of `specs` on both the network and the model at
+    /// `now`.
+    fn start(
+        &mut self,
+        net: &mut Network,
+        now: SimTime,
+        specs: &[(usize, usize, u64)],
+    ) -> Vec<FlowId> {
+        self.advance_to(now);
+        let ids = net.start_flows(now, specs);
+        for (&id, &(src, dst, bytes)) in ids.iter().zip(specs) {
+            let path = self.path(src, dst);
+            let remaining_bits = if path.is_empty() {
+                0.0
+            } else {
+                bytes as f64 * 8.0
+            };
+            self.flows.insert(
+                id,
+                ModelFlow {
+                    src,
+                    dst,
+                    bytes,
+                    started: now,
+                    path,
+                    remaining_bits,
+                    tag: String::new(),
+                },
+            );
+        }
+        self.changed = true;
+        ids
+    }
+
+    /// `cancel_flow` of live flow `id` on both at `now`.
+    fn cancel(&mut self, net: &mut Network, now: SimTime, id: FlowId) {
+        self.advance_to(now);
+        assert!(net.cancel_flow(now, id).is_some());
+        self.flows.remove(&id);
+        self.changed = true;
     }
 
     /// What the network does before each call: progress at the rates
@@ -666,6 +817,157 @@ proptest! {
             prop_assert_eq!(live, want);
             for (&id, f) in &model.flows {
                 prop_assert_eq!(net.flow_endpoints(id), Some((f.src, f.dst)));
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_fills_match_the_reference_at_every_level(
+        caps in proptest::collection::vec(
+            prop_oneof![1e6f64..1e10, (0usize..4).prop_map(|i| [1e8, 1.5e8, 2e8, 3e8][i])],
+            2..8,
+        ),
+        seed_paths in random_paths(8, 10),
+        steps in proptest::collection::vec(proptest::collection::vec(level_op(8), 1..4), 1..25),
+    ) {
+        // Between fills, flows start across the links of a flow the last
+        // fill froze in a chosen round, flows of a chosen round leave,
+        // and links go live, idle and live again. Each fill resumes the
+        // last; every rate, kept or refilled, must be the reference's on
+        // the current flow set, bit for bit. The last link's capacity is
+        // NaN: it only ever goes live and idle between fills, so no fill
+        // may read it.
+        let num_real = caps.len();
+        let garbage = num_real;
+        let mut nan_caps = caps.clone();
+        nan_caps.push(f64::NAN);
+        let mut paths: Vec<Vec<usize>> = seed_paths
+            .into_iter()
+            .map(|p| p.into_iter().map(|l| l % num_real).collect())
+            .collect();
+        let mut incidence = incidence_of(&paths);
+        rates_of(&mut incidence, &nan_caps);
+        for ops in steps {
+            for op in ops {
+                match op {
+                    LevelOp::Across { round, flow, mask, extra } => {
+                        let slots = frozen_in_round(&incidence, round);
+                        if slots.is_empty() {
+                            continue;
+                        }
+                        let along = &paths[slots[flow % slots.len()]];
+                        let mut path: Vec<usize> = along
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| mask >> i & 1 == 1)
+                            .map(|(_, &l)| l)
+                            .collect();
+                        if path.is_empty() {
+                            path.push(along[0]);
+                        }
+                        if let Some(l) = extra.filter(|_| path.len() < MAX_HOPS) {
+                            path.push(l % num_real);
+                        }
+                        let links: Vec<u32> = path.iter().map(|&l| l as u32).collect();
+                        incidence.push(&links);
+                        paths.push(path);
+                    }
+                    LevelOp::Depart { round, flow } => {
+                        let slots = frozen_in_round(&incidence, round);
+                        if let Some(&slot) = slots.get(flow % slots.len().max(1)) {
+                            incidence.swap_remove(slot);
+                            paths.swap_remove(slot);
+                        }
+                    }
+                    LevelOp::Start(path) => {
+                        let path: Vec<usize> = path.into_iter().map(|l| l % num_real).collect();
+                        let links: Vec<u32> = path.iter().map(|&l| l as u32).collect();
+                        incidence.push(&links);
+                        paths.push(path);
+                    }
+                    LevelOp::Flap { link, again } => {
+                        let link = if again { link % num_real } else { garbage };
+                        incidence.push(&[link as u32]);
+                        incidence.swap_remove(incidence.len() - 1);
+                        if again {
+                            incidence.push(&[link as u32]);
+                            paths.push(vec![link]);
+                        }
+                    }
+                }
+            }
+            let rates = rates_of(&mut incidence, &nan_caps);
+            prop_assert_eq!(bits(&rates), bits(&max_min_rates_ref(&caps, &paths)));
+        }
+    }
+
+    #[test]
+    fn resumed_settles_match_the_formula_model_at_every_level(
+        ops in proptest::collection::vec(level_net_op(), 1..40),
+    ) {
+        // The network check of the test above: flows start into or out
+        // of the endpoints of a flow at a chosen level, flows at a chosen
+        // level are cancelled, and node pairs flap. After each step the
+        // next completion must be the per-flow formula's on the
+        // reference rates, and every flow's logged rate the reference's,
+        // bit for bit.
+        let config = NetConfig { node_bps: 100_000_000, rack_bps: 150_000_000 };
+        let racks = [4, 4];
+        let mut net = Network::new(&racks, config);
+        net.enable_flow_log();
+        let mut model = Model::new(&racks, config);
+        let mut now = SimTime::ZERO;
+        model.start(&mut net, now, &[(0, 5, 20_000_000), (1, 4, 30_000_000), (4, 0, 10_000_000)]);
+        for op in ops {
+            match op {
+                LevelNetOp::Across { level, flow, other, from_src, bytes } => {
+                    if let Some(id) = model.at_level(level, flow) {
+                        let f = &model.flows[&id];
+                        let spec = if from_src { (f.src, other, bytes) } else { (other, f.dst, bytes) };
+                        model.start(&mut net, now, &[spec]);
+                    }
+                }
+                LevelNetOp::Depart { level, flow } => {
+                    if let Some(id) = model.at_level(level, flow) {
+                        model.cancel(&mut net, now, id);
+                    }
+                }
+                LevelNetOp::Flap { src, dst, again } => {
+                    let id = model.start(&mut net, now, &[(src, dst, 5_000_000)])[0];
+                    model.cancel(&mut net, now, id);
+                    if again {
+                        model.start(&mut net, now, &[(src, dst, 5_000_000)]);
+                    }
+                }
+                LevelNetOp::Drain => {
+                    model.advance_to(now);
+                    let drained = drain(&mut net, now);
+                    model.changed |= !drained.is_empty();
+                    for (id, _) in drained {
+                        let f = model.flows.remove(&id).unwrap();
+                        prop_assert!(f.remaining_bits <= 1e-3, "{id:?} drained early");
+                    }
+                }
+                LevelNetOp::Advance(to_completion, jump_us) => {
+                    now = match net.clone().next_completion() {
+                        Some(t) if to_completion => t,
+                        _ => now + SimDuration::from_micros(jump_us),
+                    };
+                }
+            }
+            prop_assert_eq!(net.clone().next_completion(), model.next_completion());
+            // While a flow is finished the settle waits for its drain.
+            if model.flows.values().all(|f| f.remaining_bits > 1e-3) {
+                let mut rates = BTreeMap::new();
+                fold_rates(&mut net.clone(), &mut rates);
+                let want: BTreeMap<FlowId, u64> = model
+                    .flows
+                    .keys()
+                    .zip(model.rates())
+                    .filter(|(_, rate)| rate.is_finite())
+                    .map(|(&id, rate)| (id, rate.to_bits()))
+                    .collect();
+                prop_assert_eq!(rates, want);
             }
         }
     }
