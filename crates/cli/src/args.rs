@@ -115,6 +115,28 @@ impl Args {
         }
     }
 
+    /// A finite, non-negative number option with a default, such as
+    /// `--map-secs 20` (durations become [`SimDuration`]s, which hold
+    /// neither negative nor non-finite spans).
+    ///
+    /// [`SimDuration`]: dfs::simkit::time::SimDuration
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] unless the value is a finite
+    /// number `>= 0`.
+    pub fn get_non_negative_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        let value: f64 = self.get_or(key, default)?;
+        if value.is_finite() && value >= 0.0 {
+            return Ok(value);
+        }
+        Err(ArgError::BadValue {
+            key: key.to_string(),
+            value: self.get(key).unwrap_or_default().to_string(),
+            expected: "finite non-negative number",
+        })
+    }
+
     /// An `(n,k)` code option such as `--code 16,12`.
     ///
     /// # Errors
@@ -200,6 +222,12 @@ mod tests {
             args.get_or("seeds", 0u64).unwrap_err(),
             ArgError::BadValue { .. }
         ));
+        for bad in ["-1", "nan", "inf", "-inf"] {
+            let args = Args::parse(["x", "--secs", bad]).unwrap();
+            assert!(args.get_non_negative_or("secs", 1.0).is_err(), "{bad}");
+        }
+        let args = Args::parse(["x", "--secs", "0"]).unwrap();
+        assert_eq!(args.get_non_negative_or("secs", 1.0).unwrap(), 0.0);
         let args = Args::parse(["x", "--code", "6"]).unwrap();
         assert!(args.get_code_or("code", (4, 2)).is_err());
         let args = Args::parse(["x", "--code", "6,6"]).unwrap();

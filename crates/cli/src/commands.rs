@@ -245,8 +245,10 @@ pub fn simulate(args: &Args) -> CliResult {
     let node_speeds = SpeedProfile::parse(args.get("node-speeds").unwrap_or("homogeneous"))?;
     let seeds: u64 = args.get_or("seeds", 5u64)?;
     let reducers: usize = args.get_or("reducers", 30usize)?;
-    let map_secs: f64 = args.get_or("map-secs", 20.0f64)?;
-    let reduce_secs: f64 = args.get_or("reduce-secs", 30.0f64)?;
+    let map_secs = args.get_non_negative_or("map-secs", 20.0)?;
+    let reduce_secs = args.get_non_negative_or("reduce-secs", 30.0)?;
+    let min_delta = args.get_non_negative_or("flow-rate-min-delta", 0.0)?;
+    let min_interval = args.get_non_negative_or("flow-rate-min-interval", 0.0)?;
     let shuffle: f64 = args.get_or("shuffle", 0.01f64)?;
 
     let mut job = JobSpec::builder("cli")
@@ -368,11 +370,6 @@ pub fn simulate(args: &Args) -> CliResult {
     if let Some(path) = args.get("trace") {
         let trace_seed: u64 = args.get_or("trace-seed", 1u64)?;
         let format = args.get("trace-format").unwrap_or("jsonl");
-        let min_delta: f64 = args.get_or("flow-rate-min-delta", 0.0f64)?;
-        let min_interval: f64 = args.get_or("flow-rate-min-interval", 0.0f64)?;
-        if min_delta < 0.0 || min_interval < 0.0 || !min_delta.is_finite() {
-            return Err("flow-rate filter thresholds must be non-negative".into());
-        }
         // Both thresholds zero means no filtering at all, so the default
         // trace stays byte-identical to pre-filter builds.
         let filter = (min_delta > 0.0 || min_interval > 0.0).then(|| FlowRateFilterConfig {
@@ -485,6 +482,10 @@ pub fn obs_report(args: &Args) -> CliResult {
         "trace-window",
         "trace-max-windows",
     ])?;
+    let bucket = SimDuration::from_secs_f64(args.get_non_negative_or("bucket-secs", 10.0)?);
+    if bucket.is_zero() {
+        return Err("--bucket-secs must be positive".into());
+    }
     let path = args
         .get("trace")
         .ok_or("obs-report needs --trace <file.jsonl>")?;
@@ -509,7 +510,7 @@ pub fn obs_report(args: &Args) -> CliResult {
         None => AggregatorMode::Exact,
     };
     let mut agg = Aggregator::new(AggregatorConfig {
-        bucket: SimDuration::from_secs_f64(args.get_or("bucket-secs", 10.0f64)?),
+        bucket,
         total_map_slots: args.get_or("map-slots", 0u64)?,
         link_capacities_bps: Vec::new(),
         mode,

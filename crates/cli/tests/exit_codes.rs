@@ -30,3 +30,48 @@ fn simulate_with_zero_seeds_is_a_typed_error() {
 fn testbed_with_zero_runs_is_a_typed_error() {
     assert_one_line_error(&["testbed", "--runs", "0"], "at least one seed");
 }
+
+#[test]
+fn obs_report_rejects_zero_and_negative_buckets() {
+    let trace = std::env::temp_dir().join("dfs-cli-exit-codes-empty.jsonl");
+    std::fs::write(&trace, "").unwrap();
+    for bad in ["0", "-1", "1e-9"] {
+        assert_one_line_error(
+            &[
+                "obs-report",
+                "--trace",
+                trace.to_str().unwrap(),
+                "--bucket-secs",
+                bad,
+            ],
+            "bucket-secs",
+        );
+    }
+    std::fs::remove_file(&trace).unwrap();
+}
+
+#[test]
+fn simulate_rejects_negative_and_non_finite_durations() {
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--map-secs", "-1"],
+        "map-secs",
+    );
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--reduce-secs", "nan"],
+        "reduce-secs",
+    );
+    let trace = std::env::temp_dir().join("dfs-cli-exit-codes-unwritten.jsonl");
+    assert_one_line_error(
+        &[
+            "simulate",
+            "--seeds",
+            "1",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--flow-rate-min-interval",
+            "inf",
+        ],
+        "flow-rate-min-interval",
+    );
+    assert!(!trace.exists(), "a rejected run writes no trace");
+}

@@ -9,26 +9,28 @@
 //! * by the flow-level simulator, which only needs the `(n, k)` arithmetic
 //!   (how many blocks a degraded read must download), and
 //! * by the `textlab` crate, which stores real bytes and performs real
-//!   degraded reads through [`StripeCodec::reconstruct`].
+//!   degraded reads through [`ReedSolomon::reconstruct`].
 //!
-//! Two systematic code constructions are provided, matching the paper's
-//! background section (Reed–Solomon \[28\] and Cauchy Reed–Solomon \[3\]):
-//! [`CodeConstruction::Vandermonde`] and [`CodeConstruction::Cauchy`].
+//! [`ReedSolomon`] has one encode ([`ReedSolomon::encode_parity`]) and
+//! one reconstruct. Two systematic code constructions are provided,
+//! matching the paper's background section (Reed–Solomon \[28\] and
+//! Cauchy Reed–Solomon \[3\]): [`CodeConstruction::Vandermonde`] and
+//! [`CodeConstruction::Cauchy`].
 //!
 //! # Example
 //!
 //! ```
-//! use erasure::{CodeParams, StripeCodec};
+//! use erasure::{CodeConstruction, CodeParams, ReedSolomon};
 //!
 //! # fn main() -> Result<(), erasure::CodeError> {
 //! let params = CodeParams::new(4, 2)?; // the paper's motivating (4,2) code
-//! let codec = StripeCodec::new(params)?;
+//! let rs = ReedSolomon::new(params, CodeConstruction::default())?;
 //! let natives = vec![vec![1u8, 2, 3], vec![4, 5, 6]];
-//! let stripe = codec.encode(&natives)?;
-//! assert_eq!(stripe.len(), 4);
+//! let parity = rs.encode_parity(&natives)?;
+//! assert_eq!(parity.len(), 2);
 //!
-//! // Lose the first native block; recover from blocks {1, 3}.
-//! let recovered = codec.reconstruct(&[(1, stripe[1].clone()), (3, stripe[3].clone())], 0)?;
+//! // Lose the first native block; recover it from blocks {1, 3}.
+//! let recovered = rs.reconstruct(&[(1, &natives[1]), (3, &parity[1])], 0)?;
 //! assert_eq!(recovered, natives[0]);
 //! # Ok(())
 //! # }
@@ -39,13 +41,11 @@ pub mod lrc;
 pub mod matrix;
 pub mod rs;
 pub mod simd;
-pub mod stripe;
 
 pub use gf256::Gf256;
 pub use lrc::{LrcCodec, LrcParams};
 pub use matrix::Matrix;
 pub use rs::{CodeConstruction, ReedSolomon};
-pub use stripe::StripeCodec;
 
 use std::error::Error;
 use std::fmt;

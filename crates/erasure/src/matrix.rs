@@ -147,31 +147,6 @@ impl Matrix {
         Ok(inv)
     }
 
-    /// Gaussian elimination rank (used by tests to check MDS properties).
-    pub fn rank(&self) -> usize {
-        let mut work = self.clone();
-        let mut rank = 0;
-        for col in 0..work.cols {
-            if rank == work.rows {
-                break;
-            }
-            let Some(pivot) = (rank..work.rows).find(|&r| !work[(r, col)].is_zero()) else {
-                continue;
-            };
-            work.swap_rows(pivot, rank);
-            let scale = work[(rank, col)].inverse();
-            work.scale_row(rank, scale);
-            for r in 0..work.rows {
-                if r != rank && !work[(r, col)].is_zero() {
-                    let factor = work[(r, col)];
-                    work.add_scaled_row(r, rank, factor);
-                }
-            }
-            rank += 1;
-        }
-        rank
-    }
-
     fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
@@ -266,13 +241,6 @@ mod tests {
             m[(2, c)] = Gf256::new(7);
         }
         assert_eq!(m.inverted().unwrap_err(), CodeError::SingularMatrix);
-        assert!(m.rank() < 3);
-    }
-
-    #[test]
-    fn rank_of_identity_and_zero() {
-        assert_eq!(Matrix::identity(5).rank(), 5);
-        assert_eq!(Matrix::zero(3, 4).rank(), 0);
     }
 
     #[test]

@@ -14,8 +14,7 @@ use std::collections::BTreeSet;
 use cluster::{ClusterState, NodeId, Topology};
 use ecstore::placement::RoundRobinPlacement;
 use ecstore::{BlockRef, BlockStore, StripeLayout};
-use erasure::stripe::split_into_blocks;
-use erasure::{CodeError, CodeParams, StripeCodec};
+use erasure::{CodeConstruction, CodeError, CodeParams, ReedSolomon};
 use simkit::SimRng;
 
 /// Placement stream label (DESIGN.md §9, R1): the grid forks a
@@ -29,6 +28,8 @@ const PLACEMENT_STREAM: u64 = 1;
 pub enum GridError {
     /// The file produced zero blocks.
     EmptyFile,
+    /// The block size was zero.
+    ZeroBlockSize,
     /// Placement or layout failed (message from the underlying error).
     Layout(String),
     /// A stripe lost more than `n − k` shards.
@@ -44,6 +45,7 @@ impl std::fmt::Display for GridError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GridError::EmptyFile => write!(f, "file has no blocks"),
+            GridError::ZeroBlockSize => write!(f, "block size must be positive"),
             GridError::Layout(e) => write!(f, "layout failed: {e}"),
             GridError::Unrecoverable { stripe } => {
                 write!(
@@ -87,12 +89,29 @@ impl ReadStats {
     }
 }
 
+/// Splits a byte stream into fixed-size blocks, zero-padding the last
+/// block — how HDFS-RAID groups a file into native blocks before
+/// striping.
+fn split_into_blocks(data: &[u8], block_size: usize) -> Result<Vec<Vec<u8>>, GridError> {
+    if block_size == 0 {
+        return Err(GridError::ZeroBlockSize);
+    }
+    Ok(data
+        .chunks(block_size)
+        .map(|chunk| {
+            let mut block = chunk.to_vec();
+            block.resize(block_size, 0);
+            block
+        })
+        .collect())
+}
+
 /// The in-process erasure-coded grid. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct MiniGrid {
     topo: Topology,
     store: BlockStore,
-    codec: StripeCodec,
+    codec: ReedSolomon,
     state: ClusterState,
     /// Shard bytes by global block index.
     shards: Vec<Vec<u8>>,
@@ -107,7 +126,8 @@ impl MiniGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`GridError::EmptyFile`] for an empty file and
+    /// Returns [`GridError::EmptyFile`] for an empty file,
+    /// [`GridError::ZeroBlockSize`] for a zero `block_size`, and
     /// [`GridError::Layout`] if placement fails.
     pub fn new(
         topo: Topology,
@@ -120,7 +140,7 @@ impl MiniGrid {
             return Err(GridError::EmptyFile);
         }
         let k = params.k();
-        let mut natives = split_into_blocks(file, block_size);
+        let mut natives = split_into_blocks(file, block_size)?;
         let num_native = natives.len().div_ceil(k) * k;
         // Zero blocks pad the final stripe.
         natives.resize(num_native, vec![0; block_size]);
@@ -133,7 +153,7 @@ impl MiniGrid {
         // testbed code cannot satisfy on three racks).
         let store = BlockStore::place(&topo, layout, &RoundRobinPlacement, &mut placement_rng)
             .map_err(|e| GridError::Layout(e.to_string()))?;
-        let codec = StripeCodec::new(params)?;
+        let codec = ReedSolomon::new(params, CodeConstruction::default())?;
         // The natives move into `shards` stripe by stripe, each followed
         // by its parity, so the grid holds the file's bytes only once.
         let mut shards = Vec::with_capacity(store.layout().num_blocks());
@@ -141,7 +161,7 @@ impl MiniGrid {
         for _ in 0..num_native / k {
             let start = shards.len();
             shards.extend(natives.by_ref().take(k));
-            let parity = codec.reed_solomon().encode_parity(&shards[start..])?;
+            let parity = codec.encode_parity(&shards[start..])?;
             shards.extend(parity);
         }
         let state = ClusterState::all_alive(&topo);
@@ -377,6 +397,24 @@ mod tests {
         let topo = Topology::homogeneous(2, 3, 2, 1);
         let err = MiniGrid::new(topo, CodeParams::new(4, 2).unwrap(), 1024, &[], 0).unwrap_err();
         assert_eq!(err, GridError::EmptyFile);
+    }
+
+    #[test]
+    fn zero_block_size_rejected() {
+        let topo = Topology::homogeneous(2, 3, 2, 1);
+        let err = MiniGrid::new(topo, CodeParams::new(6, 4).unwrap(), 0, b"hello", 1).unwrap_err();
+        assert_eq!(err, GridError::ZeroBlockSize);
+        assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn split_pads_last_block() {
+        let data: Vec<u8> = (0..10).collect();
+        let blocks = split_into_blocks(&data, 4).unwrap();
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(blocks[0], vec![0, 1, 2, 3]);
+        assert_eq!(blocks[2], vec![8, 9, 0, 0]);
+        assert!(split_into_blocks(&[], 4).unwrap().is_empty());
     }
 
     #[test]

@@ -169,6 +169,29 @@ proptest! {
     }
 
     #[test]
+    fn file_split_group_preserves_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 1..512),
+        block_size in 1usize..64,
+        k in 1usize..6,
+        fail in proptest::option::of(0u32..8),
+        seed in any::<u64>(),
+    ) {
+        // The grid cuts the file into zero-padded blocks and groups
+        // them into (k+2, k) stripes padded with zero blocks; reading
+        // back, degraded or not, returns exactly the file's bytes.
+        let topo = Topology::homogeneous(2, 4, 2, 1);
+        let params = CodeParams::new(k + 2, k).unwrap();
+        let mut grid = MiniGrid::new(topo, params, block_size, &bytes, seed).unwrap();
+        let expected_blocks = bytes.len().div_ceil(block_size);
+        prop_assert_eq!(grid.num_data_blocks(), expected_blocks);
+        prop_assert_eq!(grid.num_native_blocks(), expected_blocks.div_ceil(k) * k);
+        if let Some(f) = fail {
+            grid.fail_node(NodeId(f));
+        }
+        prop_assert_eq!(grid.read_file().unwrap(), bytes);
+    }
+
+    #[test]
     fn map_line_is_pure(line in "[a-z ]{0,40}") {
         // The same line always emits the same pairs, for every job.
         let jobs: Vec<Box<dyn TextJob>> = vec![
