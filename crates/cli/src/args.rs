@@ -137,6 +137,29 @@ impl Args {
         })
     }
 
+    /// A strictly positive option with a default, such as `--racks 4`
+    /// or `--map-secs 20`: counts, rates and durations that size the
+    /// model, where zero (or a negative or NaN number) has no meaning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] unless the value parses and is
+    /// `> 0`.
+    pub fn get_positive_or<T>(&self, key: &str, default: T) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        let value = self.get_or(key, default)?;
+        if value > T::default() {
+            return Ok(value);
+        }
+        Err(ArgError::BadValue {
+            key: key.to_string(),
+            value: self.get(key).unwrap_or_default().to_string(),
+            expected: "positive number",
+        })
+    }
+
     /// An `(n,k)` code option such as `--code 16,12`.
     ///
     /// # Errors
@@ -228,6 +251,14 @@ mod tests {
         }
         let args = Args::parse(["x", "--secs", "0"]).unwrap();
         assert_eq!(args.get_non_negative_or("secs", 1.0).unwrap(), 0.0);
+        for bad in ["0", "-1", "nan", "-inf"] {
+            let args = Args::parse(["x", "--secs", bad]).unwrap();
+            assert!(args.get_positive_or("secs", 1.0).is_err(), "{bad}");
+        }
+        let args = Args::parse(["x", "--racks", "0"]).unwrap();
+        assert!(args.get_positive_or("racks", 4usize).is_err());
+        let args = Args::parse(["x", "--racks", "2"]).unwrap();
+        assert_eq!(args.get_positive_or("racks", 4usize).unwrap(), 2);
         let args = Args::parse(["x", "--code", "6"]).unwrap();
         assert!(args.get_code_or("code", (4, 2)).is_err());
         let args = Args::parse(["x", "--code", "6,6"]).unwrap();

@@ -91,12 +91,12 @@ pub fn analyze(args: &Args) -> CliResult {
     let (n, k) = args.get_code_or("code", (16, 12))?;
     let params = ModelParams {
         nodes: args.get_or("nodes", 40usize)?,
-        racks: args.get_or("racks", 4usize)?,
-        map_slots: args.get_or("slots", 4usize)?,
-        map_time_secs: args.get_or("map-secs", 20.0f64)?,
-        block_bytes: args.get_or("block-mb", 128u64)? * 1024 * 1024,
-        rack_bandwidth_bps: args.get_or("bandwidth-mbps", 1000u64)? * 1_000_000,
-        num_blocks: args.get_or("blocks", 1440usize)?,
+        racks: args.get_positive_or("racks", 4usize)?,
+        map_slots: args.get_positive_or("slots", 4usize)?,
+        map_time_secs: args.get_positive_or("map-secs", 20.0f64)?,
+        block_bytes: args.get_positive_or("block-mb", 128u64)? * 1024 * 1024,
+        rack_bandwidth_bps: args.get_positive_or("bandwidth-mbps", 1000u64)? * 1_000_000,
+        num_blocks: args.get_positive_or("blocks", 1440usize)?,
         n,
         k,
     };
@@ -301,9 +301,9 @@ pub fn simulate(args: &Args) -> CliResult {
 
     let mut exp = Experiment {
         topo: Topology::homogeneous(
-            args.get_or("racks", 4usize)?,
-            args.get_or("nodes-per-rack", 10usize)?,
-            args.get_or("map-slots", 4u32)?,
+            args.get_positive_or("racks", 4usize)?,
+            args.get_positive_or("nodes-per-rack", 10usize)?,
+            args.get_positive_or("map-slots", 4u32)?,
             1,
         ),
         code: CodeParams::new(n, k).map_err(|e| e.to_string())?,
@@ -315,7 +315,7 @@ pub fn simulate(args: &Args) -> CliResult {
             block_bytes: args.get_or("block-mb", 128u64)? * 1024 * 1024,
             net: NetConfig {
                 node_bps: 1_000_000_000,
-                rack_bps: args.get_or("bandwidth-mbps", 1000u64)? * 1_000_000,
+                rack_bps: args.get_positive_or("bandwidth-mbps", 1000u64)? * 1_000_000,
             },
             fetch_policy,
             node_speeds,
@@ -867,7 +867,7 @@ pub fn testbed(args: &Args) -> CliResult {
 /// `dfs-cli repair`: plan and simulate one failed node's repair.
 pub fn repair(args: &Args) -> CliResult {
     args.ensure_known(&["parallelism", "seed"])?;
-    let parallelism: usize = args.get_or("parallelism", 4usize)?;
+    let parallelism: usize = args.get_positive_or("parallelism", 4usize)?;
     let seed: u64 = args.get_or("seed", 1u64)?;
     let exp = dfs::presets::simulation_default();
     let scenario = exp.failure_for_seed(seed);

@@ -75,3 +75,49 @@ fn simulate_rejects_negative_and_non_finite_durations() {
     );
     assert!(!trace.exists(), "a rejected run writes no trace");
 }
+
+#[test]
+fn analyze_rejects_a_zero_map_time() {
+    assert_one_line_error(&["analyze", "--map-secs", "0"], "map-secs");
+}
+
+#[test]
+fn analyze_rejects_zero_sizes() {
+    for flag in ["racks", "slots", "block-mb", "bandwidth-mbps", "blocks"] {
+        assert_one_line_error(&["analyze", &format!("--{flag}"), "0"], flag);
+    }
+}
+
+#[test]
+fn simulate_rejects_zero_racks() {
+    assert_one_line_error(&["simulate", "--seeds", "1", "--racks", "0"], "racks");
+}
+
+#[test]
+fn simulate_rejects_empty_racks() {
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--nodes-per-rack", "0"],
+        "nodes-per-rack",
+    );
+}
+
+#[test]
+fn simulate_rejects_zero_map_slots() {
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--map-slots", "0"],
+        "map-slots",
+    );
+}
+
+#[test]
+fn simulate_rejects_zero_bandwidth() {
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--bandwidth-mbps", "0"],
+        "bandwidth-mbps",
+    );
+}
+
+#[test]
+fn repair_rejects_zero_parallelism() {
+    assert_one_line_error(&["repair", "--parallelism", "0"], "parallelism");
+}

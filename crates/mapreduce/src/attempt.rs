@@ -382,7 +382,7 @@ impl Engine {
             let mut candidate: Option<(JobId, MapTaskId, f64)> = None;
             for &job in &self.fifo {
                 let j = &self.jobs[job.index()];
-                if !j.degraded_pool.is_empty() || j.unassigned_normal > 0 {
+                if !j.degraded_pool.is_empty() || j.normal.total() > 0 {
                     break; // assignable work exists; no speculation yet
                 }
                 if j.completed_maps == 0 {
@@ -434,11 +434,10 @@ impl Engine {
         let now = self.now;
         let (moved, submitted) = {
             let j = &mut self.jobs[job.index()];
-            let moved = std::mem::take(&mut j.node_local_pool[node.index()]);
+            let moved = j.normal.take_all(&self.topo, node);
             if moved.is_empty() {
                 return;
             }
-            j.unassigned_normal -= moved.len();
             for &task in &moved {
                 j.maps[task.0].degraded = true;
                 j.degraded_pool.push(task);
@@ -617,8 +616,7 @@ impl Engine {
             if degraded {
                 j.degraded_pool.push(task);
             } else {
-                j.node_local_pool[holder.index()].push(task);
-                j.unassigned_normal += 1;
+                j.normal.push(&self.topo, holder, task);
             }
             j.submitted
         };

@@ -26,6 +26,7 @@ use simkit::SimRng;
 use crate::attempt::Attempt;
 use crate::job::{JobId, JobSpec, MapLocality, MapTaskId};
 use crate::metrics::{JobResult, RunResult, TaskDetail, TaskRecord};
+use crate::pools::NormalPools;
 use crate::sched::{Heartbeat, MapScheduler};
 
 /// Maps the engine's locality to the observation vocabulary.
@@ -345,14 +346,10 @@ pub(crate) struct JobRt {
     pub(crate) started_at: Option<SimTime>,
     pub(crate) finished_at: Option<SimTime>,
     pub(crate) maps: Vec<MapRt>,
-    /// Unassigned normal tasks whose input block lives on each node.
-    pub(crate) node_local_pool: Vec<Vec<MapTaskId>>,
+    /// Unassigned normal tasks, pooled by the node holding their block.
+    pub(crate) normal: NormalPools,
     /// Unassigned degraded tasks.
     pub(crate) degraded_pool: Vec<MapTaskId>,
-    /// Unassigned normal tasks: always the sum of the `node_local_pool`
-    /// lengths, which lets `Heartbeat::take_rack_local` and
-    /// `Heartbeat::take_remote` return at once when it is zero.
-    pub(crate) unassigned_normal: usize,
     pub(crate) launched_maps: usize,
     pub(crate) launched_degraded: usize,
     pub(crate) completed_maps: usize,
@@ -573,7 +570,6 @@ impl<'a> EngineBuilder<'a> {
                         done: false,
                     });
                 }
-                let unassigned_normal = maps.iter().filter(|m| !m.degraded).count();
                 let num_maps = maps.len();
                 JobRt {
                     id,
@@ -582,9 +578,8 @@ impl<'a> EngineBuilder<'a> {
                     started_at: None,
                     finished_at: None,
                     maps,
-                    node_local_pool,
+                    normal: NormalPools::new(&self.topo, node_local_pool),
                     degraded_pool,
-                    unassigned_normal,
                     launched_maps: 0,
                     launched_degraded: 0,
                     completed_maps: 0,
@@ -1230,8 +1225,7 @@ impl Engine {
                 j.degraded_pool = keep;
                 for &task in &restored {
                     j.maps[task.0].degraded = false;
-                    j.node_local_pool[node.index()].push(task);
-                    j.unassigned_normal += 1;
+                    j.normal.push(&self.topo, node, task);
                 }
                 (restored, j.submitted)
             };

@@ -46,14 +46,6 @@ pub enum MapLocality {
     Degraded,
 }
 
-impl MapLocality {
-    /// True for node-local or rack-local — the paper collectively calls
-    /// these "local".
-    pub fn is_local(self) -> bool {
-        matches!(self, MapLocality::NodeLocal | MapLocality::RackLocal)
-    }
-}
-
 impl fmt::Display for MapLocality {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -246,10 +238,6 @@ mod tests {
 
     #[test]
     fn locality_classes() {
-        assert!(MapLocality::NodeLocal.is_local());
-        assert!(MapLocality::RackLocal.is_local());
-        assert!(!MapLocality::Remote.is_local());
-        assert!(!MapLocality::Degraded.is_local());
         assert_eq!(MapLocality::Degraded.to_string(), "degraded");
     }
 

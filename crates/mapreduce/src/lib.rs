@@ -72,6 +72,7 @@ mod attempt;
 pub mod engine;
 pub mod job;
 pub mod metrics;
+mod pools;
 pub mod sched;
 
 pub use engine::{Engine, EngineBuilder, EngineConfig, RunError};

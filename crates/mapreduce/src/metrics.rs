@@ -109,11 +109,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Records for one job.
-    pub fn tasks_of(&self, job: JobId) -> impl Iterator<Item = &TaskRecord> + '_ {
-        self.tasks.iter().filter(move |t| t.job == job)
-    }
-
     /// Number of launched map tasks with the given locality (Figure 8(a)
     /// counts `Remote`).
     pub fn map_count(&self, locality: MapLocality) -> usize {
@@ -234,7 +229,6 @@ mod tests {
         assert_eq!(result.mean_normal_map_secs(), Some(25.0));
         assert_eq!(result.mean_degraded_map_secs(), Some((35.0 + 20.0) / 2.0));
         assert_eq!(result.mean_reduce_secs(), Some(70.0));
-        assert_eq!(result.tasks_of(JobId(1)).count(), 1);
         assert_eq!(result.mean_task_runtime_secs(|_| false), None);
     }
 }

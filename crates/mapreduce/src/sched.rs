@@ -107,7 +107,7 @@ impl<'a> Heartbeat<'a> {
 
     /// True if the job still has unassigned normal (non-degraded) tasks.
     pub fn has_normal(&self, job: JobId) -> bool {
-        self.engine.jobs[job.index()].unassigned_normal > 0
+        self.engine.jobs[job.index()].normal.total() > 0
     }
 
     // ---- enhanced-heuristic estimates (Section IV-C) --------------------
@@ -117,7 +117,7 @@ impl<'a> Heartbeat<'a> {
     /// slots ÷ speed factor. Heterogeneity-aware, as the paper requires.
     pub fn slave_local_work_secs(&self, job: JobId, node: NodeId) -> f64 {
         let j = &self.engine.jobs[job.index()];
-        let pool = j.node_local_pool[node.index()].len() as f64;
+        let pool = j.normal.len_of(node) as f64;
         let spec = self.engine.topo.spec(node);
         pool * j.spec.map_time_mean.as_secs_f64() / spec.map_slots as f64 / spec.speed_factor
     }
@@ -177,7 +177,8 @@ impl<'a> Heartbeat<'a> {
             return None;
         }
         let slave = self.slave;
-        let task = self.engine.jobs[job.index()].node_local_pool[slave.index()].pop()?;
+        let e = &mut *self.engine;
+        let task = e.jobs[job.index()].normal.pop(&e.topo, slave)?;
         self.claim_normal(job, task, MapLocality::NodeLocal);
         Some(task)
     }
@@ -186,23 +187,16 @@ impl<'a> Heartbeat<'a> {
     /// node of this slave's rack, preferring the node with the largest
     /// backlog.
     pub fn take_rack_local(&mut self, job: JobId) -> Option<MapTaskId> {
-        if self.free_map_slots() == 0 || !self.has_normal(job) {
+        if self.free_map_slots() == 0 {
             return None;
         }
         let slave = self.slave;
-        let pools = &self.engine.jobs[job.index()].node_local_pool;
-        let source = self
-            .engine
-            .topo
-            .nodes_in_rack(self.engine.topo.rack_of(slave))
-            .iter()
-            .copied()
-            .filter(|&m| m != slave)
-            .max_by_key(|&m| (pools[m.index()].len(), std::cmp::Reverse(m)))
-            .filter(|&m| !pools[m.index()].is_empty())?;
-        let task = self.engine.jobs[job.index()].node_local_pool[source.index()]
-            .pop()
-            .expect("non-empty pool");
+        let e = &mut *self.engine;
+        let pools = &mut e.jobs[job.index()].normal;
+        let source = pools.largest_in_rack(e.topo.rack_of(slave), slave)?;
+        let task = pools
+            .pop(&e.topo, source)
+            .expect("listed pools are non-empty");
         self.claim_normal(job, task, MapLocality::RackLocal);
         Some(task)
     }
@@ -210,21 +204,16 @@ impl<'a> Heartbeat<'a> {
     /// Claims any remaining normal task (its block will be fetched across
     /// racks), preferring the node with the largest backlog.
     pub fn take_remote(&mut self, job: JobId) -> Option<MapTaskId> {
-        if self.free_map_slots() == 0 || !self.has_normal(job) {
+        if self.free_map_slots() == 0 {
             return None;
         }
         let slave = self.slave;
-        let pools = &self.engine.jobs[job.index()].node_local_pool;
-        let source = self
-            .engine
-            .topo
-            .node_ids()
-            .filter(|&m| m != slave)
-            .max_by_key(|&m| (pools[m.index()].len(), std::cmp::Reverse(m)))
-            .filter(|&m| !pools[m.index()].is_empty())?;
-        let task = self.engine.jobs[job.index()].node_local_pool[source.index()]
-            .pop()
-            .expect("non-empty pool");
+        let e = &mut *self.engine;
+        let pools = &mut e.jobs[job.index()].normal;
+        let source = pools.largest(slave)?;
+        let task = pools
+            .pop(&e.topo, source)
+            .expect("listed pools are non-empty");
         let locality = self.engine.classify(source, slave);
         self.claim_normal(job, task, locality);
         Some(task)
@@ -249,7 +238,6 @@ impl<'a> Heartbeat<'a> {
 
     fn claim_normal(&mut self, job: JobId, task: MapTaskId, locality: MapLocality) {
         let slave = self.slave;
-        self.engine.jobs[job.index()].unassigned_normal -= 1;
         self.engine.mark_assigned(job, task, slave, locality);
         self.assigned.push((job, task));
     }
@@ -260,6 +248,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
     use crate::job::JobSpec;
+    use crate::pools::scan_largest;
     use cluster::{FailureScenario, FailureTimeline, Topology};
     use ecstore::placement::RackAwarePlacement;
     use erasure::CodeParams;
@@ -451,12 +440,14 @@ mod tests {
 
     #[test]
     fn unassigned_normal_counts_the_node_local_pools_through_churn() {
-        // The early exit of `take_rack_local` / `take_remote` is exact
-        // only while `unassigned_normal` equals the pools' total. Audit
-        // it at every heartbeat of a run where node0 dies at 5 s (its
-        // running maps are killed and requeued, its pool turns
+        // `NormalPools` keeps its total and its backlog orders in step
+        // with the pools only if every update point reports its change.
+        // Audit them at every heartbeat of a run where node0 dies at 5 s
+        // (its running maps are killed and requeued, its pool turns
         // degraded) and rejoins at 30 s (degraded tasks it holds turn
-        // node-local again).
+        // node-local again): the total must equal the pools' sum, and
+        // the rack-local and remote picks for the slave must equal a
+        // linear scan's.
         #[derive(Default)]
         struct Audit {
             checks: usize,
@@ -469,9 +460,25 @@ mod tests {
         impl MapScheduler for Auditor {
             fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
                 let mut audit = self.0.borrow_mut();
+                let (slave, topo) = (hb.slave(), &hb.engine.topo);
+                let rack = topo.rack_of(slave);
                 for j in &hb.engine.jobs {
-                    let pooled: usize = j.node_local_pool.iter().map(Vec::len).sum();
-                    assert_eq!(j.unassigned_normal, pooled, "at {}", hb.now());
+                    let p = &j.normal;
+                    let pooled: usize = topo.node_ids().map(|n| p.len_of(n)).sum();
+                    assert_eq!(p.total(), pooled, "at {}", hb.now());
+                    assert_eq!(
+                        p.largest(slave),
+                        scan_largest(p, topo.node_ids(), slave),
+                        "remote pick at {}",
+                        hb.now()
+                    );
+                    let members = topo.nodes_in_rack(rack).iter().copied();
+                    assert_eq!(
+                        p.largest_in_rack(rack, slave),
+                        scan_largest(p, members, slave),
+                        "rack-local pick at {}",
+                        hb.now()
+                    );
                     audit.checks += 1;
                 }
                 let node0_alive = hb.engine.cstate.is_alive(NodeId(0));
@@ -526,8 +533,8 @@ mod tests {
             fn assign_maps(&mut self, hb: &mut Heartbeat<'_>) {
                 let job = JobId(0);
                 if !hb.has_normal(job) && hb.has_degraded(job) && hb.free_map_slots() > 0 {
-                    let j = &hb.engine.jobs[job.index()];
-                    assert!(j.node_local_pool.iter().all(Vec::is_empty));
+                    let p = &hb.engine.jobs[job.index()].normal;
+                    assert!(hb.engine.topo.node_ids().all(|n| p.len_of(n) == 0));
                     let state = |hb: &Heartbeat<'_>| {
                         (
                             hb.free_map_slots(),
