@@ -68,26 +68,50 @@ impl ModelParams {
         }
     }
 
-    /// Validates the parameters.
+    /// Checks that the parameters describe a cluster the model can
+    /// price: at least two nodes (one fails), `1 ≤ racks ≤ nodes`,
+    /// positive finite slot, time, size and block counts, and
+    /// `1 ≤ k < n`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero counts, `k ≥ n`, or more than one node per slot of
-    /// nonsense (`racks > nodes`).
+    /// The first [`ModelError`] found.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        if self.nodes < 2 {
+            return Err(ModelError::TooFewNodes { nodes: self.nodes });
+        }
+        if self.racks == 0 || self.racks > self.nodes {
+            return Err(ModelError::BadRackCount {
+                racks: self.racks,
+                nodes: self.nodes,
+            });
+        }
+        let positive = [
+            ("map_slots", self.map_slots as f64),
+            ("map_time_secs", self.map_time_secs),
+            ("block_bytes", self.block_bytes as f64),
+            ("rack_bandwidth_bps", self.rack_bandwidth_bps as f64),
+            ("num_blocks", self.num_blocks as f64),
+        ];
+        for (field, value) in positive {
+            if !(value > 0.0 && value.is_finite()) {
+                return Err(ModelError::NotPositive { field, value });
+            }
+        }
+        if self.k == 0 || self.k >= self.n {
+            return Err(ModelError::BadCode {
+                n: self.n,
+                k: self.k,
+            });
+        }
+        Ok(())
+    }
+
+    /// Panics on parameters [`ModelParams::validate`] rejects.
     fn check(&self) {
-        assert!(self.nodes > 1, "need at least two nodes");
-        assert!(
-            self.racks >= 1 && self.racks <= self.nodes,
-            "bad rack count"
-        );
-        assert!(self.map_slots >= 1, "need map slots");
-        assert!(self.map_time_secs > 0.0, "map time must be positive");
-        assert!(
-            self.block_bytes > 0 && self.rack_bandwidth_bps > 0,
-            "bad sizes"
-        );
-        assert!(self.num_blocks > 0, "no blocks");
-        assert!(self.k >= 1 && self.k < self.n, "bad (n,k)");
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
     }
 
     /// Expected inter-rack download seconds of one degraded read:
@@ -143,6 +167,56 @@ impl ModelParams {
         (lf - self.degraded_first_runtime()) / lf
     }
 }
+
+/// Why [`ModelParams::validate`] rejected a parameter set.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ModelError {
+    /// Fewer than two nodes: the model fails one and needs a survivor.
+    TooFewNodes {
+        /// The node count given.
+        nodes: usize,
+    },
+    /// No racks, or more racks than nodes.
+    BadRackCount {
+        /// The rack count given.
+        racks: usize,
+        /// The node count given.
+        nodes: usize,
+    },
+    /// A count, time or size is zero, negative or not finite.
+    NotPositive {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// Not `1 ≤ k < n`.
+    BadCode {
+        /// Stripe width.
+        n: usize,
+        /// Data blocks per stripe.
+        k: usize,
+    },
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::TooFewNodes { nodes } => {
+                write!(f, "need at least two nodes, got {nodes}")
+            }
+            ModelError::BadRackCount { racks, nodes } => {
+                write!(f, "bad rack count: {racks} racks for {nodes} nodes")
+            }
+            ModelError::NotPositive { field, value } => {
+                write!(f, "{field} must be positive and finite, got {value}")
+            }
+            ModelError::BadCode { n, k } => write!(f, "bad (n,k) = ({n},{k})"),
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 /// One sweep point: the varied label plus both normalized runtimes.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -313,6 +387,43 @@ mod tests {
             ..ModelParams::paper_default()
         };
         let _ = p.normal_runtime();
+    }
+
+    #[test]
+    fn validate_returns_typed_errors() {
+        let base = ModelParams::paper_default();
+        assert_eq!(base.validate(), Ok(()));
+        let cases = [
+            (
+                ModelParams { nodes: 1, ..base },
+                ModelError::TooFewNodes { nodes: 1 },
+            ),
+            (
+                ModelParams {
+                    nodes: 4,
+                    racks: 5,
+                    ..base
+                },
+                ModelError::BadRackCount { racks: 5, nodes: 4 },
+            ),
+            (
+                ModelParams {
+                    map_slots: 0,
+                    ..base
+                },
+                ModelError::NotPositive {
+                    field: "map_slots",
+                    value: 0.0,
+                },
+            ),
+            (
+                ModelParams { n: 4, k: 0, ..base },
+                ModelError::BadCode { n: 4, k: 0 },
+            ),
+        ];
+        for (params, want) in cases {
+            assert_eq!(params.validate(), Err(want));
+        }
     }
 
     #[test]

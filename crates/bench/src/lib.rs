@@ -12,7 +12,7 @@
 
 use dfs::experiment::{Experiment, Policy};
 use dfs::simkit::report::Table;
-use sweep::{sweep_seeds, sweep_seeds_scalar, SweepSummary};
+use sweep::{sweep_seeds, SweepSummary};
 
 pub mod figs;
 
@@ -50,26 +50,6 @@ pub fn compare_policies(exp: &Experiment, policies: &[Policy]) -> Vec<(String, S
         .collect()
 }
 
-/// Runs `exp` under each policy and summarizes an arbitrary per-run
-/// metric extracted by `metric` from the failure-mode [`dfs::mapreduce::RunResult`].
-pub fn compare_policies_metric(
-    exp: &Experiment,
-    policies: &[Policy],
-    metric: impl Fn(&dfs::mapreduce::RunResult) -> Option<f64> + Sync,
-) -> Vec<(String, SweepSummary)> {
-    let n = seeds();
-    policies
-        .iter()
-        .map(|&policy| {
-            let sweep = sweep_seeds_scalar(n, |seed| {
-                exp.run(policy, seed).ok().and_then(|r| metric(&r))
-            })
-            .expect("sweep produced no samples");
-            (policy.name().to_string(), sweep)
-        })
-        .collect()
-}
-
 /// Builds the standard boxplot table: one row per `(label, sweep)`.
 pub fn boxplot_table(rows: &[(String, SweepSummary)]) -> Table {
     let mut table = Table::new(&["series", "min", "q1", "median", "q3", "max", "mean", "n"]);
@@ -87,33 +67,6 @@ pub fn boxplot_table(rows: &[(String, SweepSummary)]) -> Table {
         ]);
     }
     table
-}
-
-/// Appends a "reduction vs first row" column view: prints mean
-/// reductions of each non-baseline sweep against the first (baseline)
-/// sweep.
-pub fn print_reductions(title: &str, rows: &[(String, SweepSummary)]) {
-    if rows.len() < 2 {
-        return;
-    }
-    let (base_name, baseline) = &rows[0];
-    let mut table = Table::new(&["policy", &format!("mean reduction vs {base_name}")]);
-    for (name, sweep) in &rows[1..] {
-        table.row(&[
-            name.clone(),
-            format!("{:.1}%", sweep.mean_reduction_vs(baseline) * 100.0),
-        ]);
-    }
-    table.print(title);
-}
-
-/// The three headline policies in the paper's order.
-pub fn lf_bdf_edf() -> [Policy; 3] {
-    [
-        Policy::LocalityFirst,
-        Policy::BasicDegradedFirst,
-        Policy::EnhancedDegradedFirst,
-    ]
 }
 
 /// LF and EDF only (the Figure 7 comparisons).
@@ -145,7 +98,6 @@ mod tests {
         assert_eq!(rows[0].1.samples.len(), 2);
         let table = boxplot_table(&rows);
         assert_eq!(table.len(), 2);
-        print_reductions("test", &rows);
         std::env::remove_var("DFS_SEEDS");
     }
 }

@@ -160,6 +160,24 @@ impl Args {
         })
     }
 
+    /// A strictly positive size option given in units of `unit`, such as
+    /// `--block-mb 128` (`unit` = 1 MiB) or `--bandwidth-mbps 1000`
+    /// (`unit` = 10^6), returned in base units.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] unless the value is `> 0` and its
+    /// product with `unit` fits in a `u64`.
+    pub fn get_scaled_or(&self, key: &str, default: u64, unit: u64) -> Result<u64, ArgError> {
+        self.get_positive_or(key, default)?
+            .checked_mul(unit)
+            .ok_or_else(|| ArgError::BadValue {
+                key: key.to_string(),
+                value: self.get(key).unwrap_or_default().to_string(),
+                expected: "size (it overflows 64 bits once scaled)",
+            })
+    }
+
     /// An `(n,k)` code option such as `--code 16,12`.
     ///
     /// # Errors

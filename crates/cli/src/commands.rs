@@ -19,6 +19,7 @@ use dfs::obs::jsonl::{parse_line, JsonlSink};
 use dfs::obs::schema::{validate_jsonl, TraceSchema, TRACE_SCHEMA_V1};
 use dfs::obs::sink::{EventSink, FlowRateFilter, FlowRateFilterConfig};
 use dfs::obs::spill::{validate_spill, SpillConfig, SpillSink};
+use dfs::presets::MBPS;
 use dfs::simkit::report::Table;
 use dfs::simkit::time::{SimDuration, SimTime};
 use dfs::simkit::SimRng;
@@ -76,6 +77,9 @@ USAGE:
 
 type CliResult = Result<(), Box<dyn Error>>;
 
+/// Bytes per `--block-mb` unit.
+const MIB: u64 = 1024 * 1024;
+
 /// `dfs-cli analyze`: the Section IV-B closed-form model.
 pub fn analyze(args: &Args) -> CliResult {
     args.ensure_known(&[
@@ -94,12 +98,13 @@ pub fn analyze(args: &Args) -> CliResult {
         racks: args.get_positive_or("racks", 4usize)?,
         map_slots: args.get_positive_or("slots", 4usize)?,
         map_time_secs: args.get_positive_or("map-secs", 20.0f64)?,
-        block_bytes: args.get_positive_or("block-mb", 128u64)? * 1024 * 1024,
-        rack_bandwidth_bps: args.get_positive_or("bandwidth-mbps", 1000u64)? * 1_000_000,
+        block_bytes: args.get_scaled_or("block-mb", 128, MIB)?,
+        rack_bandwidth_bps: args.get_scaled_or("bandwidth-mbps", 1000, MBPS)?,
         num_blocks: args.get_positive_or("blocks", 1440usize)?,
         n,
         k,
     };
+    params.validate()?;
     let mut table = Table::new(&["quantity", "value"]);
     table.row(&[
         "normal-mode runtime (s)".into(),
@@ -312,10 +317,10 @@ pub fn simulate(args: &Args) -> CliResult {
         failure,
         timeline,
         config: EngineConfig {
-            block_bytes: args.get_or("block-mb", 128u64)? * 1024 * 1024,
+            block_bytes: args.get_scaled_or("block-mb", 128, MIB)?,
             net: NetConfig {
                 node_bps: 1_000_000_000,
-                rack_bps: args.get_positive_or("bandwidth-mbps", 1000u64)? * 1_000_000,
+                rack_bps: args.get_scaled_or("bandwidth-mbps", 1000, MBPS)?,
             },
             fetch_policy,
             node_speeds,
@@ -738,7 +743,7 @@ pub fn sweep_grid(args: &Args) -> CliResult {
         base.map_slots = args.get_or("map-slots", base.map_slots)?;
         base.reduce_slots = args.get_or("reduce-slots", base.reduce_slots)?;
         base.num_blocks = args.get_or("blocks", base.num_blocks)?;
-        base.block_bytes = args.get_or("block-mb", base.block_bytes / (1024 * 1024))? * 1024 * 1024;
+        base.block_bytes = args.get_scaled_or("block-mb", base.block_bytes / MIB, MIB)?;
         base.node_mbps = args.get_or("node-mbps", base.node_mbps)?;
         base.rack_mbps = args.get_or("rack-mbps", base.rack_mbps)?;
 

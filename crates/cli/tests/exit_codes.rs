@@ -89,6 +89,44 @@ fn analyze_rejects_zero_sizes() {
 }
 
 #[test]
+fn analyze_rejects_clusters_the_model_cannot_price() {
+    assert_one_line_error(&["analyze", "--nodes", "1"], "two nodes");
+    assert_one_line_error(&["analyze", "--nodes", "0"], "two nodes");
+    assert_one_line_error(&["analyze", "--racks", "5", "--nodes", "4"], "rack count");
+}
+
+/// 18,446,744,073,710 MB/s or MiB is just past `u64::MAX` in base units.
+const OVERFLOWING_SIZE: &str = "18446744073710";
+
+#[test]
+fn analyze_rejects_sizes_that_overflow() {
+    for flag in ["block-mb", "bandwidth-mbps"] {
+        assert_one_line_error(&["analyze", &format!("--{flag}"), OVERFLOWING_SIZE], flag);
+    }
+}
+
+#[test]
+fn simulate_rejects_sizes_that_overflow() {
+    for flag in ["block-mb", "bandwidth-mbps"] {
+        assert_one_line_error(
+            &[
+                "simulate",
+                "--seeds",
+                "1",
+                &format!("--{flag}"),
+                OVERFLOWING_SIZE,
+            ],
+            flag,
+        );
+    }
+}
+
+#[test]
+fn sweep_rejects_a_block_size_that_overflows() {
+    assert_one_line_error(&["sweep", "--block-mb", OVERFLOWING_SIZE], "block-mb");
+}
+
+#[test]
 fn simulate_rejects_zero_racks() {
     assert_one_line_error(&["simulate", "--seeds", "1", "--racks", "0"], "racks");
 }

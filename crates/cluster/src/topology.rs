@@ -203,11 +203,6 @@ impl Topology {
         self.nodes.iter().map(|n| n.map_slots).sum()
     }
 
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> u32 {
-        self.nodes.iter().map(|n| n.reduce_slots).sum()
-    }
-
     /// The sizes of all racks, in rack order.
     pub fn rack_sizes(&self) -> Vec<usize> {
         self.rack_members.iter().map(|m| m.len()).collect()
@@ -224,7 +219,6 @@ mod tests {
         assert_eq!(t.num_nodes(), 40);
         assert_eq!(t.num_racks(), 4);
         assert_eq!(t.total_map_slots(), 160);
-        assert_eq!(t.total_reduce_slots(), 40);
         assert_eq!(t.rack_of(NodeId(0)), RackId(0));
         assert_eq!(t.rack_of(NodeId(39)), RackId(3));
         assert_eq!(t.nodes_in_rack(RackId(1)).len(), 10);

@@ -135,34 +135,6 @@ impl StripeLayout {
         block.stripe.index() * self.params.n() + block.pos
     }
 
-    /// The inverse of [`StripeLayout::global_index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn block_at(&self, index: usize) -> BlockRef {
-        assert!(
-            index < self.num_blocks(),
-            "block index {index} out of range"
-        );
-        BlockRef {
-            stripe: StripeId((index / self.params.n()) as u32),
-            pos: index % self.params.n(),
-        }
-    }
-
-    /// The dense index of a native block among natives only
-    /// (`0..num_native`), e.g. to map map-tasks 1:1 onto native blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference is not a native block of this layout.
-    pub fn native_index(&self, block: BlockRef) -> usize {
-        assert!(self.is_native_pos(block.pos), "{block} is parity");
-        assert!(block.stripe.index() < self.num_stripes(), "unknown {block}");
-        block.stripe.index() * self.params.k() + block.pos
-    }
-
     /// The native block with dense native index `i`.
     ///
     /// # Panics
@@ -239,14 +211,11 @@ mod tests {
     #[test]
     fn index_round_trips() {
         let l = layout();
-        for i in 0..l.num_blocks() {
-            let b = l.block_at(i);
+        for (i, b) in l.blocks().enumerate() {
             assert_eq!(l.global_index(b), i);
         }
-        for i in 0..l.num_native() {
-            let b = l.native_at(i);
-            assert!(l.is_native_pos(b.pos));
-            assert_eq!(l.native_index(b), i);
+        for (i, b) in l.native_blocks().enumerate() {
+            assert_eq!(l.native_at(i), b);
         }
     }
 
@@ -266,22 +235,6 @@ mod tests {
         assert_eq!(l.native_blocks().count(), 12);
         assert_eq!(l.stripe_blocks(StripeId(3)).count(), 4);
         assert!(l.native_blocks().all(|b| l.is_native_pos(b.pos)));
-    }
-
-    #[test]
-    #[should_panic(expected = "is parity")]
-    fn native_index_rejects_parity() {
-        let l = layout();
-        let _ = l.native_index(BlockRef {
-            stripe: StripeId(0),
-            pos: 3,
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn block_at_bounds() {
-        let _ = layout().block_at(24);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::gf256::{mul_acc_slice, Gf256};
 use crate::matrix::Matrix;
-use crate::{CodeError, CodeParams};
+use crate::CodeError;
 
 /// Parameters of an `LRC(k, l, r)` code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -85,16 +85,6 @@ impl LrcParams {
     /// Data blocks per local group.
     pub fn group_size(&self) -> usize {
         self.k / self.l
-    }
-
-    /// The equivalent `(n, k)` view (for storage-overhead comparisons).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CodeError::InvalidParams`] (cannot happen for valid
-    /// LRC parameters).
-    pub fn as_code_params(&self) -> Result<CodeParams, CodeError> {
-        CodeParams::new(self.n(), self.k)
     }
 
     /// Builds the codec.
@@ -302,8 +292,6 @@ mod tests {
         assert_eq!(p.n(), 16);
         assert_eq!(p.group_size(), 6);
         assert_eq!(p.to_string(), "LRC(12,2,2)");
-        // Same storage overhead as RS(16,12).
-        assert_eq!(p.as_code_params().unwrap().overhead(), 1.0 / 3.0);
     }
 
     #[test]

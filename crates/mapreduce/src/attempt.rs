@@ -445,6 +445,7 @@ impl Engine {
             (moved, j.submitted)
         };
         if submitted {
+            self.tasks_queued_degraded += moved.len();
             for task in moved {
                 rec.emit(now, || SimEvent::TaskQueued {
                     job: job.0,
@@ -621,6 +622,7 @@ impl Engine {
             j.submitted
         };
         if submitted {
+            self.tasks_queued_degraded += usize::from(degraded);
             rec.emit(now, || SimEvent::TaskQueued {
                 job: job.0,
                 task: task.0 as u32,

@@ -653,6 +653,7 @@ impl<'a> EngineBuilder<'a> {
             last_degraded_assign: vec![None; num_racks],
             net_check: None,
             records: Vec::new(),
+            tasks_queued_degraded: 0,
             events_processed: 0,
             obs_job_started: vec![false; num_jobs],
             timeline,
@@ -690,6 +691,9 @@ pub struct Engine {
     pub(crate) last_degraded_assign: Vec<Option<SimTime>>,
     net_check: Option<(simkit::EventId, SimTime)>,
     records: Vec<TaskRecord>,
+    /// [`RunResult::tasks_queued_degraded`], bumped wherever a
+    /// `TaskQueued { degraded: true }` event is (or would be) emitted.
+    pub(crate) tasks_queued_degraded: usize,
     events_processed: u64,
     /// Jobs whose `JobStarted` trace event has been emitted (tracing only).
     pub(crate) obs_job_started: Vec<bool>,
@@ -827,7 +831,9 @@ impl Engine {
                 }
                 Event::NetCheck => self.on_net_check(&mut rec),
                 Event::JobArrival(job) => {
-                    self.jobs[job.index()].submitted = true;
+                    let j = &mut self.jobs[job.index()];
+                    j.submitted = true;
+                    self.tasks_queued_degraded += j.maps.iter().filter(|m| m.degraded).count();
                     self.fifo.push(job);
                     if rec.is_enabled() {
                         let j = &self.jobs[job.index()];
@@ -884,6 +890,7 @@ impl Engine {
                     tasks: std::mem::take(&mut self.records),
                     makespan,
                     utilization: self.net.utilization_log().to_vec(),
+                    tasks_queued_degraded: self.tasks_queued_degraded,
                 });
             }
         }

@@ -106,6 +106,11 @@ pub struct RunResult {
     /// Rack-downlink utilization over time (empty unless
     /// [`crate::engine::EngineConfig::log_network_utilization`] is set).
     pub utilization: Vec<UtilizationSample>,
+    /// Map tasks queued as degraded: at job submission, and again each
+    /// time churn moves unassigned or lost work to the degraded pool of
+    /// a submitted job. Counts queueings, not tasks, so it can exceed
+    /// the degraded maps that ran.
+    pub tasks_queued_degraded: usize,
 }
 
 impl RunResult {
@@ -222,6 +227,7 @@ mod tests {
             ],
             makespan: SimDuration::from_secs(70),
             utilization: Vec::new(),
+            tasks_queued_degraded: 0,
         };
         assert_eq!(result.map_count(MapLocality::Remote), 1);
         assert_eq!(result.map_count(MapLocality::Degraded), 2);

@@ -13,10 +13,7 @@ use dfs::cluster::FailureTimeline;
 use dfs::erasure::CodeParams;
 use dfs::experiment::{PlacementKind, Policy};
 use dfs::mapreduce::MapLocality;
-use dfs::obs::event::SimEvent;
-use dfs::obs::sink::EventSink;
 use dfs::simkit::stats::percentile_sorted;
-use dfs::simkit::time::SimTime;
 use dfs::workloads::{map_only_job, simulation_default_job, ArrivalTrace};
 use dfs::{Experiment, FailureSpec};
 
@@ -38,7 +35,8 @@ pub struct ShardMetrics {
     pub maps_total: usize,
     /// Map tasks that ran degraded (surviving-block reconstruction).
     pub maps_degraded: usize,
-    /// Map tasks queued as degraded at submission.
+    /// Map tasks queued as degraded, re-queues under churn included
+    /// ([`dfs::mapreduce::RunResult::tasks_queued_degraded`]).
     pub tasks_queued_degraded: usize,
     /// Job latency percentiles in seconds (absent when no job finished).
     pub job_p50_secs: Option<f64>,
@@ -94,26 +92,12 @@ fn shard_experiment(base: &SweepBase, shard: &Shard) -> Result<(Experiment, u64)
     Ok((exp, stream_seed))
 }
 
-/// Counts map tasks queued as degraded: the one shard column a
-/// `RunResult` cannot give, because churn re-queues lost work.
-#[derive(Default)]
-struct DegradedQueued(usize);
-
-impl EventSink for DegradedQueued {
-    fn record(&mut self, _at: SimTime, event: &SimEvent) {
-        if matches!(event, SimEvent::TaskQueued { degraded: true, .. }) {
-            self.0 += 1;
-        }
-    }
-}
-
 /// Runs one shard to completion. Errors are stringified for the report
 /// row; they do not abort the sweep.
 fn run_shard(base: &SweepBase, shard: &Shard) -> Result<ShardMetrics, String> {
     let (exp, stream_seed) = shard_experiment(base, shard)?;
-    let mut queued = DegradedQueued::default();
     let run = exp
-        .run_traced(shard.policy, stream_seed, &mut queued)
+        .run(shard.policy, stream_seed)
         .map_err(|e| e.to_string())?;
     let mut turnaround: Vec<f64> = run
         .jobs
@@ -128,7 +112,7 @@ fn run_shard(base: &SweepBase, shard: &Shard) -> Result<ShardMetrics, String> {
         jobs_finished: run.jobs.len(),
         maps_total: run.tasks.len(),
         maps_degraded: run.map_count(MapLocality::Degraded),
-        tasks_queued_degraded: queued.0,
+        tasks_queued_degraded: run.tasks_queued_degraded,
         job_p50_secs: job_pct(0.50),
         job_p95_secs: job_pct(0.95),
         job_p99_secs: job_pct(0.99),

@@ -7,7 +7,7 @@
 //! golden_grid` after an intentional behavior change, and review the
 //! diff like code.
 
-use dfs::cluster::SpeedProfile;
+use dfs::cluster::{SpeedProfile, WeibullChurn};
 use dfs::ecstore::FetchPolicy;
 use dfs::Policy;
 use std::path::PathBuf;
@@ -57,4 +57,29 @@ fn fig7_small_grid_matches_goldens() {
     assert_eq!(report.shards_ok(), 9, "every shard should complete");
     check_golden("fig7_small_grid.json", &report.to_json());
     check_golden("fig7_small_grid.txt", &report.human());
+}
+
+/// Three policies under Weibull churn harsh enough that nodes fail
+/// mid-run: lost and unassigned maps are re-queued as degraded, so
+/// `tasks_queued_degraded` exceeds `maps_degraded` in some rows.
+fn churn_grid() -> SweepSpec {
+    SweepSpec {
+        failures: vec![FailureAxis::Weibull(WeibullChurn {
+            lifetime_shape: 1.0,
+            lifetime_scale_secs: 1500.0,
+            repair_shape: 1.0,
+            repair_scale_secs: 100.0,
+            horizon_secs: 600.0,
+        })],
+        ..fig7_small_grid()
+    }
+}
+
+#[test]
+fn churn_grid_matches_goldens() {
+    let report = run_sweep(&churn_grid(), 2).expect("sweep runs");
+    assert_eq!(report.shards.len(), 9);
+    assert_eq!(report.shards_ok(), 9, "every shard should complete");
+    check_golden("churn_grid.json", &report.to_json());
+    check_golden("churn_grid.txt", &report.human());
 }

@@ -208,11 +208,6 @@ impl MiniGrid {
         self.stats
     }
 
-    /// Resets the transfer statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = ReadStats::default();
-    }
-
     /// Kills a node; its shards become unreachable.
     ///
     /// # Panics
@@ -415,15 +410,6 @@ mod tests {
         assert_eq!(blocks[0], vec![0, 1, 2, 3]);
         assert_eq!(blocks[2], vec![8, 9, 0, 0]);
         assert!(split_into_blocks(&[], 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn stats_reset() {
-        let (_, mut grid) = grid(5);
-        let _ = grid.read_native(0).unwrap();
-        assert!(grid.stats().direct_reads > 0);
-        grid.reset_stats();
-        assert_eq!(grid.stats(), ReadStats::default());
     }
 
     #[test]

@@ -2,17 +2,23 @@
 //! (healthy start, one node failing at 25 s and recovering at 60 s)
 //! completes under every policy with lost work re-queued, its traces
 //! validate against schema v1 including the node lifecycle events, and
-//! the obs aggregator reports the churn counters.
+//! the obs aggregator reports the churn counters. The engine's own count
+//! of degraded queueings matches the trace on every path that queues
+//! degraded work.
 
 use std::collections::BTreeSet;
 
-use dfs::experiment::Policy;
+use dfs::cluster::FailureTimeline;
+use dfs::ecstore::FetchPolicy;
+use dfs::experiment::{Experiment, FailureSpec, Policy};
+use dfs::mapreduce::MapLocality;
 use dfs::obs::aggregate::Aggregator;
 use dfs::obs::event::SimEvent;
 use dfs::obs::jsonl::JsonlSink;
 use dfs::obs::schema::{validate_jsonl, TraceSchema, TRACE_SCHEMA_V1};
 use dfs::obs::sink::VecSink;
 use dfs::presets;
+use dfs::simkit::time::SimTime;
 
 const POLICIES: [Policy; 3] = [
     Policy::LocalityFirst,
@@ -123,4 +129,61 @@ fn churn_runs_are_deterministic() {
     let a = exp.run(Policy::LocalityFirst, 3).expect("a");
     let b = exp.run(Policy::LocalityFirst, 3).expect("b");
     assert_eq!(a, b, "churn replay diverged");
+}
+
+/// `RunResult::tasks_queued_degraded` is counted by the engine whether
+/// or not the run is traced. Checks, under every policy, that it equals
+/// the `TaskQueued { degraded: true }` events of a traced run of the
+/// same seed, and returns how many policies queued more degraded work
+/// than ran degraded (churn re-queueing lost or unassigned maps).
+fn degraded_queueings_match_the_trace(name: &str, exp: &Experiment) -> usize {
+    let mut requeued = 0;
+    for policy in POLICIES {
+        let label = format!("{name} {}", policy.name());
+        let untraced = exp
+            .run(policy, 1)
+            .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+        let mut sink = VecSink::new();
+        let traced = exp
+            .run_traced(policy, 1, &mut sink)
+            .unwrap_or_else(|e| panic!("{label}: traced run failed: {e}"));
+        assert_eq!(untraced, traced, "{label}: tracing changed the result");
+        let events = sink
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, SimEvent::TaskQueued { degraded: true, .. }))
+            .count();
+        assert_eq!(untraced.tasks_queued_degraded, events, "{label}");
+        if untraced.tasks_queued_degraded > untraced.map_count(MapLocality::Degraded) {
+            requeued += 1;
+        }
+    }
+    requeued
+}
+
+#[test]
+fn degraded_queueings_match_the_trace_under_static_failures() {
+    let mut rack = presets::simulation_default();
+    rack.failure = FailureSpec::RandomRack;
+    degraded_queueings_match_the_trace("simulation_default", &presets::simulation_default());
+    degraded_queueings_match_the_trace("rack failure", &rack);
+}
+
+#[test]
+fn degraded_queueings_match_the_trace_for_multiple_jobs() {
+    degraded_queueings_match_the_trace("multi_job_default", &presets::multi_job_default(1));
+}
+
+#[test]
+fn degraded_queueings_match_the_trace_under_churn() {
+    let mut speculation = presets::straggler_default(FetchPolicy::Exact);
+    speculation.config.speculative = true;
+    speculation.timeline =
+        FailureTimeline::new().fail_node_at(speculation.topo.node(1), SimTime::from_secs(575));
+    let requeued = degraded_queueings_match_the_trace("churn_default", &presets::churn_default())
+        + degraded_queueings_match_the_trace("speculation churn", &speculation);
+    assert!(
+        requeued > 0,
+        "no run queued more degraded work than ran degraded"
+    );
 }

@@ -105,10 +105,10 @@ fn fixed_seed_goldens_are_stable() {
     }
 }
 
-const GOLDEN_SMALL_BDF_0: u64 = 0x272c_a9b3_3af9_a6d6;
-const GOLDEN_SMALL_LF_7: u64 = 0x8a6b_9c51_4140_35c1;
-const GOLDEN_PAPER_LF_1: u64 = 0xcdbe_acee_8e09_fe22;
-const GOLDEN_PAPER_EDF_1: u64 = 0x8605_ddd2_9a0d_7d61;
+const GOLDEN_SMALL_BDF_0: u64 = 0x83a5_8443_7634_7632;
+const GOLDEN_SMALL_LF_7: u64 = 0xbecb_4a36_5a46_6844;
+const GOLDEN_PAPER_LF_1: u64 = 0x46a3_44ff_0b31_248a;
+const GOLDEN_PAPER_EDF_1: u64 = 0x5b65_6de0_21bc_1371;
 
 /// A failure timeline whose events all fire at t=0 is just another way
 /// of writing a static failure scenario: expressing the goldens' seeds

@@ -128,7 +128,7 @@ fn backups_survive_and_die_with_their_primaries_under_churn() {
             1,
             575,
             1_003_093_552,
-            0x808f_386d_acd0_d7fc,
+            0xcf7b_41b2_8373_4334,
             0xfafd_6cbc_db14_e7ba,
         ),
         (
@@ -136,7 +136,7 @@ fn backups_survive_and_die_with_their_primaries_under_churn() {
             5,
             501,
             839_090_026,
-            0xbf5a_668d_dfac_5076,
+            0xb8f9_45dd_98fd_52e6,
             0x3fe0_117a_f66b_b08a,
         ),
     ];
