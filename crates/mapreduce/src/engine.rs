@@ -790,7 +790,10 @@ impl Engine {
             }
         }
         // Initial heartbeats, de-phased across the period so slaves do
-        // not all report at once.
+        // not all report at once. The offsets ascend and every later
+        // periodic beat is one period after the instant it is scheduled
+        // at, so the whole periodic chain goes through the calendar's
+        // in-order lane.
         let alive = self.cstate.alive_nodes();
         let n = alive.len().max(1) as u64;
         for (i, node) in alive.iter().enumerate() {
@@ -798,7 +801,7 @@ impl Engine {
                 self.cfg.heartbeat_period.as_micros() * (i as u64 + 1) / n,
             );
             self.hb_active[node.index()] = true;
-            self.cal.schedule(
+            self.cal.schedule_in_order(
                 SimTime::ZERO + offset,
                 Event::Heartbeat {
                     node: *node,
@@ -930,7 +933,7 @@ impl Engine {
         // Keep the periodic chain alive while any job is unfinished;
         // out-of-band beats are one-shot.
         if periodic && self.unfinished_jobs > 0 {
-            self.cal.schedule(
+            self.cal.schedule_in_order(
                 self.now + self.cfg.heartbeat_period,
                 Event::Heartbeat {
                     node: slave,

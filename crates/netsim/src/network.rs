@@ -155,14 +155,15 @@ pub struct FlowLogEntry {
     pub kind: FlowLogKind,
 }
 
+/// What a flow is and whose it is. Its progress lives apart, in
+/// [`Network`]'s dense `progress` vector, so the per-event walks read
+/// 16 bytes per flow.
 #[derive(Clone, Debug)]
 struct ActiveFlow<T> {
     id: FlowId,
     src: usize,
     dst: usize,
     bytes: u64,
-    remaining_bits: f64,
-    rate_bps: f64,
     started: SimTime,
     tag: T,
 }
@@ -238,6 +239,9 @@ pub struct Network<T = ()> {
     capacities: Vec<f64>,
     num_racks: usize,
     flows: Vec<ActiveFlow<T>>,
+    /// Each flow's `(remaining_bits, rate_bps)`, slot-aligned with
+    /// `flows` (same pushes, same swap-removes).
+    progress: Vec<(f64, f64)>,
     /// The slot in `flows` of each id from `first_id` on, `NO_SLOT`
     /// once the flow left. Leading `NO_SLOT`s are popped, so the table
     /// spans the ids from the oldest live flow to the newest.
@@ -258,6 +262,11 @@ pub struct Network<T = ()> {
     /// Active flows with nothing left to send, which the next
     /// [`Network::drain_tagged`] removes.
     done_flows: usize,
+    /// Slots that held a finished flow when noted: by the advance walk
+    /// (which starts the list afresh), by a start with nothing to send,
+    /// and by a swap-remove that moves a finished flow. A superset of
+    /// the finished flows' slots, so the drain visits only these.
+    done_slots: Vec<u32>,
     /// When set, every advance appends a rack-downlink utilization
     /// sample (the paper's "unused network resources" evidence).
     utilization_log: Option<Vec<UtilizationSample>>,
@@ -347,6 +356,7 @@ impl<T> Network<T> {
             capacities,
             num_racks,
             flows: Vec::new(),
+            progress: Vec::new(),
             slot_of: VecDeque::new(),
             first_id: 0,
             last_advanced: SimTime::ZERO,
@@ -355,6 +365,7 @@ impl<T> Network<T> {
             reallocations: 0,
             refilled: 0,
             done_flows: 0,
+            done_slots: Vec::new(),
             utilization_log: None,
             flow_log: None,
             rate_changed: Vec::new(),
@@ -493,21 +504,24 @@ impl<T> Network<T> {
                 },
             });
         }
-        let (remaining_bits, rate_bps) = if route.len == 0 {
+        let progress = if route.len == 0 {
             (0.0, f64::INFINITY)
         } else {
             ((bytes as f64) * 8.0, 0.0)
         };
-        self.done_flows += usize::from(remaining_bits <= DONE_EPS_BITS);
-        self.slot_of.push_back(self.flows.len() as u32);
+        let slot = self.flows.len() as u32;
+        if progress.0 <= DONE_EPS_BITS {
+            self.done_flows += 1;
+            self.done_slots.push(slot);
+        }
+        self.slot_of.push_back(slot);
         self.incidence.push(route.as_slice());
+        self.progress.push(progress);
         self.flows.push(ActiveFlow {
             id,
             src,
             dst,
             bytes,
-            remaining_bits,
-            rate_bps,
             started: now,
             tag,
         });
@@ -518,9 +532,13 @@ impl<T> Network<T> {
     /// with `Vec::swap_remove`.
     fn remove_slot(&mut self, slot: usize) -> ActiveFlow<T> {
         let flow = self.flows.swap_remove(slot);
+        let (remaining_bits, _) = self.progress.swap_remove(slot);
         self.incidence.swap_remove(slot);
         if let Some(moved) = self.flows.get(slot) {
             self.slot_of[(moved.id.0 - self.first_id) as usize] = slot as u32;
+            if self.progress[slot].0 <= DONE_EPS_BITS {
+                self.done_slots.push(slot as u32);
+            }
             // The moved flow may be its round's first completion.
             let last = self.flows.len() as u32;
             let min = self
@@ -536,7 +554,7 @@ impl<T> Network<T> {
             self.slot_of.pop_front();
             self.first_id += 1;
         }
-        self.done_flows -= usize::from(flow.remaining_bits <= DONE_EPS_BITS);
+        self.done_flows -= usize::from(remaining_bits <= DONE_EPS_BITS);
         self.dirty = true;
         flow
     }
@@ -609,16 +627,28 @@ impl<T> Network<T> {
     pub fn drain_tagged(&mut self, now: SimTime, mut f: impl FnMut(FlowId, FlowStats, T)) {
         self.advance_to(now);
         let expected = self.done_flows;
-        let mut i = 0;
-        while i < self.flows.len() {
-            if self.flows[i].remaining_bits <= DONE_EPS_BITS {
-                let flow = self.remove_slot(i);
+        // The removals of a forward scan over every slot that re-checks
+        // slot `i` after each swap-remove: a swap-remove only refills the
+        // slot being scanned, from the tail, so the scan acts exactly at
+        // the noted slots below the shrinking length, in ascending order.
+        // That keeps the slot permutation, which orders the rate changes
+        // that traced streams log. Removals here note slots again; the
+        // loop covers them and the list is cleared after.
+        self.done_slots.sort_unstable();
+        self.done_slots.dedup();
+        for i in 0..self.done_slots.len() {
+            let slot = self.done_slots[i] as usize;
+            while slot < self.flows.len() && self.progress[slot].0 <= DONE_EPS_BITS {
+                let flow = self.remove_slot(slot);
                 self.finished.push(flow);
-            } else {
-                i += 1;
             }
         }
+        self.done_slots.clear();
         debug_assert_eq!(self.finished.len(), expected);
+        debug_assert!(
+            self.progress.iter().all(|p| p.0 > DONE_EPS_BITS),
+            "a finished flow outlived its drain"
+        );
         self.finished.sort_unstable_by_key(|flow| flow.id);
         for flow in self.finished.drain(..) {
             if let Some(log) = &mut self.flow_log {
@@ -645,22 +675,26 @@ impl<T> Network<T> {
             self.settle();
             let mut rack_down_bits = 0.0f64;
             let n = self.num_nodes();
-            self.done_flows = 0;
-            for (slot, flow) in self.flows.iter_mut().enumerate() {
+            let sampling = self.utilization_log.is_some();
+            self.done_slots.clear();
+            for (slot, (remaining, rate)) in self.progress.iter_mut().enumerate() {
                 // A loopback flow (infinite rate) started with nothing to
                 // send and stays at zero.
-                flow.remaining_bits = (flow.remaining_bits - flow.rate_bps * dt).max(0.0);
-                if self.utilization_log.is_some()
+                *remaining = (*remaining - *rate * dt).max(0.0);
+                if sampling
                     && self
                         .incidence
                         .links(slot)
                         .iter()
                         .any(|&l| l as usize >= 2 * n && l % 2 == 1)
                 {
-                    rack_down_bits += flow.rate_bps * dt;
+                    rack_down_bits += *rate * dt;
                 }
-                self.done_flows += usize::from(flow.remaining_bits <= DONE_EPS_BITS);
+                if *remaining <= DONE_EPS_BITS {
+                    self.done_slots.push(slot as u32);
+                }
             }
+            self.done_flows = self.done_slots.len();
             if let Some(log) = &mut self.utilization_log {
                 log.push(UtilizationSample {
                     since: self.last_advanced,
@@ -689,7 +723,7 @@ impl<T> Network<T> {
         self.dirty = false;
         self.reallocations += 1;
         let now = self.last_advanced;
-        let flows = &mut self.flows;
+        let progress = &mut self.progress;
         let round_min = &mut self.round_min;
         let rate_changed = &mut self.rate_changed;
         let logging = self.flow_log.is_some();
@@ -702,21 +736,21 @@ impl<T> Network<T> {
         // link count (bit-identical to `max_min_rates_ref`; see the
         // fairshare module docs). The incidence's slots follow `flows`.
         self.incidence.compute(&self.capacities, |slot, r, rate| {
-            let flow = &mut flows[slot];
+            let (remaining, flow_rate) = &mut progress[slot];
             // Fairshare rates are a deterministic function of the flow
             // set, so exact f64 comparison suffices to detect changes.
-            if logging && rate != flow.rate_bps {
+            if logging && rate != *flow_rate {
                 rate_changed.push(slot as u32);
             }
-            flow.rate_bps = rate;
+            *flow_rate = rate;
             refilled += 1;
-            let (remaining, round) = (flow.remaining_bits, r as usize);
+            let (remaining, round) = (*remaining, r as usize);
             if round >= begun {
                 round_min.truncate(round);
                 debug_assert_eq!(round_min.len(), round);
                 round_min.push(slot as u32);
                 begun = round + 1;
-            } else if remaining < flows[round_min[round] as usize].remaining_bits {
+            } else if remaining < progress[round_min[round] as usize].0 {
                 round_min[round] = slot as u32;
             }
         });
@@ -732,8 +766,8 @@ impl<T> Network<T> {
                 .round_min
                 .iter()
                 .map(|&slot| {
-                    let flow = &self.flows[slot as usize];
-                    flow.remaining_bits / flow.rate_bps
+                    let (remaining, rate) = self.progress[slot as usize];
+                    remaining / rate
                 })
                 .fold(f64::INFINITY, f64::min);
             let micros = (secs * 1e6).ceil() as u64;
@@ -743,12 +777,12 @@ impl<T> Network<T> {
             // Slot order, which traced streams and their goldens pin.
             self.rate_changed.sort_unstable();
             for slot in self.rate_changed.drain(..) {
-                let flow = &self.flows[slot as usize];
+                let slot = slot as usize;
                 log.push(FlowLogEntry {
                     at: now,
-                    flow: flow.id,
+                    flow: self.flows[slot].id,
                     kind: FlowLogKind::RateChanged {
-                        rate_bps: flow.rate_bps,
+                        rate_bps: self.progress[slot].1,
                     },
                 });
             }
@@ -1322,6 +1356,49 @@ mod batch_tests {
         assert_eq!(done, want);
         let finished: Vec<FlowId> = net.drain_finished(done).iter().map(|f| f.0).collect();
         assert_eq!(finished, vec![ids[2]]);
+    }
+
+    /// The active flows' ids in slot order.
+    fn slot_order(net: &Network) -> Vec<FlowId> {
+        net.flows().map(|(id, ())| id).collect()
+    }
+
+    #[test]
+    fn a_cancel_that_moves_a_finished_flow_down_leaves_it_to_the_drain() {
+        // At `done` the short flow in the last slot has finished; the
+        // cancel swap-removes slot 1 and moves it there, below the slot
+        // the advance noted it at.
+        let mut net = Network::new(&[4, 4], NetConfig::uniform(100_000_000));
+        let ids = net.start_flows(
+            SimTime::ZERO,
+            &[(0, 4, 1 << 30), (1, 5, 1 << 30), (2, 6, 1 << 20)],
+        );
+        let done = net.next_completion().unwrap();
+        assert!(net.cancel_flow(done, ids[1]).is_some());
+        assert_eq!(slot_order(&net), vec![ids[0], ids[2]]);
+        assert_eq!(net.next_completion(), Some(done));
+        let finished: Vec<FlowId> = net.drain_finished(done).iter().map(|f| f.0).collect();
+        assert_eq!(finished, vec![ids[2]]);
+        assert_eq!(slot_order(&net), vec![ids[0]]);
+        assert!(net.next_completion().unwrap() > done);
+    }
+
+    #[test]
+    fn a_loopback_started_after_the_advance_drains_in_the_same_pass() {
+        // The start advances to `done`, where slot 0 has finished, then
+        // pushes the loopback into slot 3. A forward scan removes slot
+        // 0, then the loopback moved into it, then stops at the moved
+        // `ids[2]`.
+        let mut net = Network::new(&[4, 4], NetConfig::uniform(100_000_000));
+        let ids = net.start_flows(
+            SimTime::ZERO,
+            &[(0, 4, 1 << 20), (1, 5, 1 << 30), (2, 6, 1 << 30)],
+        );
+        let done = net.next_completion().unwrap();
+        let loopback = net.start_flows(done, &[(3, 3, 1 << 20)])[0];
+        let finished: Vec<FlowId> = net.drain_finished(done).iter().map(|f| f.0).collect();
+        assert_eq!(finished, vec![ids[0], loopback]);
+        assert_eq!(slot_order(&net), vec![ids[2], ids[1]]);
     }
 
     #[test]

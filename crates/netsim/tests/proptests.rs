@@ -730,11 +730,15 @@ proptest! {
         // one the reference rates give, bit for bit, and every flow that
         // leaves must come back with the tag it was started with. The
         // network under test is only ever read through clones, so it
-        // settles when its own calls need the rates.
+        // settles when its own calls need the rates. `slots` models the
+        // network's slot order: starts push, cancels swap-remove, and a
+        // drain scans forward, re-checking a slot after each
+        // swap-remove. Traced streams log rate changes in slot order.
         let config = NetConfig { node_bps: 100_000_000, rack_bps: 150_000_000 };
         let racks = [3, 3];
         let mut net: Network<String> = Network::tagged(&racks, config);
         let mut model = Model::new(&racks, config);
+        let mut slots: Vec<FlowId> = Vec::new();
         let mut started: Vec<FlowId> = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {
@@ -755,6 +759,7 @@ proptest! {
                             tag: format!("flow {}", first + i),
                         });
                     }
+                    slots.extend(&ids);
                     started.extend(ids);
                     model.changed = true;
                 }
@@ -768,6 +773,8 @@ proptest! {
                     match model.flows.remove(&id) {
                         Some(f) => {
                             model.changed = true;
+                            let slot = slots.iter().position(|&s| s == id).unwrap();
+                            slots.swap_remove(slot);
                             let (stats, tag) = got.expect("a live flow cancels");
                             prop_assert_eq!(tag, f.tag);
                             prop_assert_eq!(
@@ -788,6 +795,14 @@ proptest! {
                         .filter(|(_, f)| f.remaining_bits <= 1e-3)
                         .map(|(&id, _)| id)
                         .collect();
+                    let mut i = 0;
+                    while i < slots.len() {
+                        if done.contains(&slots[i]) {
+                            slots.swap_remove(i);
+                        } else {
+                            i += 1;
+                        }
+                    }
                     prop_assert_eq!(drained.len(), done.len());
                     model.changed |= !done.is_empty();
                     for ((id, stats, tag), want) in drained.into_iter().zip(done) {
@@ -811,6 +826,8 @@ proptest! {
             prop_assert_eq!(net.active_flows(), model.flows.len());
             let mut live: Vec<(FlowId, String)> =
                 net.flows().map(|(id, tag)| (id, tag.clone())).collect();
+            let order: Vec<FlowId> = live.iter().map(|(id, _)| *id).collect();
+            prop_assert_eq!(&order, &slots);
             live.sort();
             let want: Vec<(FlowId, String)> =
                 model.flows.iter().map(|(&id, f)| (id, f.tag.clone())).collect();

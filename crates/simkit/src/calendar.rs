@@ -7,12 +7,22 @@
 //! Cancellation uses a generation-checked slab instead of a hash set:
 //! each handle is a `(slot, generation)` pair, so `schedule`, `cancel`,
 //! and `pop` never hash — liveness is one array compare. Cancelled
-//! entries stay in the heap, but the top of the heap is eagerly purged
-//! of dead entries after every mutation, so [`Calendar::peek_time`]
-//! works on a shared reference.
+//! entries stay where they were queued, but the fronts are eagerly
+//! purged of dead entries after every mutation, so `pop` always finds a
+//! live entry at a front.
+//!
+//! Events come in through two queues that share the slab and the
+//! schedule order: a binary heap for any time, and an in-order lane for
+//! events scheduled at non-decreasing times
+//! ([`Calendar::schedule_in_order`]), such as a periodic chain whose
+//! next beat is always one period after the current instant. The lane
+//! is a FIFO, so those events cost O(1) to schedule and pop, and the
+//! heap holds only the rest. `pop` takes the earlier of the two fronts
+//! by `(time, seq)`, so the delivery order is the one a single heap
+//! gives.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -80,6 +90,10 @@ impl<E> Eq for Entry<E> {}
 
 /// A deterministic event calendar.
 ///
+/// Both [`Calendar::schedule`] and [`Calendar::schedule_in_order`]
+/// deliver in `(time, schedule order)`; the second is a cheaper path
+/// for callers whose times never go down.
+///
 /// # Example
 ///
 /// ```
@@ -97,7 +111,10 @@ impl<E> Eq for Entry<E> {}
 #[derive(Debug)]
 pub struct Calendar<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Current generation of each slot. A heap entry is live iff its
+    /// Entries scheduled in order: ascending `(time, seq)` front to
+    /// back, since each is at or after the one before and `seq` grows.
+    lane: VecDeque<Entry<E>>,
+    /// Current generation of each slot. A queued entry is live iff its
     /// handle's generation matches its slot's.
     generations: Vec<u32>,
     /// Slots whose events fired or were cancelled, ready for reuse.
@@ -112,6 +129,7 @@ impl<E> Calendar<E> {
     pub fn new() -> Self {
         Calendar {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             generations: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
@@ -122,6 +140,28 @@ impl<E> Calendar<E> {
     /// Schedules `payload` for delivery at `time` and returns a handle
     /// that can cancel it.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+        let entry = self.entry(time, payload);
+        let id = entry.id;
+        self.heap.push(Reverse(entry));
+        id
+    }
+
+    /// [`Calendar::schedule`] for an event at or after every event
+    /// scheduled in order before it: it joins the in-order lane, which
+    /// costs O(1) now and at its pop. An earlier `time` than the lane's
+    /// last goes to the heap instead, so any call order is correct.
+    pub fn schedule_in_order(&mut self, time: SimTime, payload: E) -> EventId {
+        if self.lane.back().is_some_and(|last| time < last.time) {
+            return self.schedule(time, payload);
+        }
+        let entry = self.entry(time, payload);
+        let id = entry.id;
+        self.lane.push_back(entry);
+        id
+    }
+
+    /// Takes a slot and the next schedule order for a new entry.
+    fn entry(&mut self, time: SimTime, payload: E) -> Entry<E> {
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
             None => {
@@ -134,13 +174,12 @@ impl<E> Calendar<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        self.heap.push(Reverse(Entry {
+        Entry {
             time,
             seq,
             id,
             payload,
-        }));
-        id
+        }
     }
 
     /// Retires an id's slot: invalidates every outstanding handle to it
@@ -151,21 +190,33 @@ impl<E> Calendar<E> {
         self.live -= 1;
     }
 
-    /// Drops dead entries from the heap top so `peek`/`pop` see a live
-    /// entry (or an empty heap).
-    fn purge_top(&mut self) {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.generations[entry.id.slot()] == entry.id.gen() {
-                break;
-            }
+    fn is_live(&self, id: EventId) -> bool {
+        self.generations[id.slot()] == id.gen()
+    }
+
+    /// Drops dead entries from the heap top and the lane front so `pop`
+    /// sees a live entry at each (or an empty queue).
+    fn purge_fronts(&mut self) {
+        while self
+            .heap
+            .peek()
+            .is_some_and(|Reverse(entry)| !self.is_live(entry.id))
+        {
             self.heap.pop();
+        }
+        while self
+            .lane
+            .front()
+            .is_some_and(|entry| !self.is_live(entry.id))
+        {
+            self.lane.pop_front();
         }
     }
 
     /// Cancels a previously scheduled event.
     ///
-    /// The entry stays in the heap and is dropped when it reaches the
-    /// top. Returns `true` if the event was still pending, `false` if it
+    /// The entry stays queued and is dropped when it reaches a front.
+    /// Returns `true` if the event was still pending, `false` if it
     /// had already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let live = self
@@ -174,24 +225,29 @@ impl<E> Calendar<E> {
             .is_some_and(|&gen| gen == id.gen());
         if live {
             self.retire(id);
-            self.purge_top();
+            self.purge_fronts();
         }
         live
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        // The top is always live (see `purge_top`), so no skip loop here.
-        let Reverse(entry) = self.heap.pop()?;
-        debug_assert_eq!(self.generations[entry.id.slot()], entry.id.gen());
+        // Both fronts are always live (see `purge_fronts`), so no skip
+        // loop here.
+        let from_lane = match (self.heap.peek(), self.lane.front()) {
+            (Some(Reverse(top)), Some(front)) => front < top,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let entry = if from_lane {
+            self.lane.pop_front()?
+        } else {
+            self.heap.pop()?.0
+        };
+        debug_assert!(self.is_live(entry.id));
         self.retire(entry.id);
-        self.purge_top();
+        self.purge_fronts();
         Some((entry.time, entry.id, entry.payload))
-    }
-
-    /// The timestamp of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(entry)| entry.time)
     }
 
     /// Number of pending (non-cancelled) events.
@@ -288,14 +344,41 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled() {
+    fn lane_and_heap_merge_by_time_then_schedule_order() {
         let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1), "a");
-        cal.schedule(SimTime::from_secs(2), "b");
-        cal.cancel(a);
-        assert_eq!(cal.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(cal.pop().unwrap().2, "b");
-        assert_eq!(cal.peek_time(), None);
+        cal.schedule_in_order(SimTime::from_secs(1), "lane 1");
+        cal.schedule(SimTime::from_secs(2), "heap 2");
+        cal.schedule_in_order(SimTime::from_secs(2), "lane 2");
+        cal.schedule(SimTime::from_secs(1), "heap 1");
+        cal.schedule_in_order(SimTime::from_secs(3), "lane 3");
+        let order: Vec<&str> = std::iter::from_fn(|| cal.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, ["lane 1", "heap 1", "heap 2", "lane 2", "lane 3"]);
+    }
+
+    #[test]
+    fn an_earlier_in_order_event_falls_back_to_the_heap() {
+        let mut cal = Calendar::new();
+        cal.schedule_in_order(SimTime::from_secs(5), "late");
+        cal.schedule_in_order(SimTime::from_secs(2), "early");
+        assert_eq!(cal.len(), 2);
+        assert_eq!(cal.pop().unwrap().2, "early");
+        assert_eq!(cal.pop().unwrap().2, "late");
+        assert!(cal.pop().is_none());
+    }
+
+    #[test]
+    fn cancelled_lane_entries_are_skipped() {
+        let mut cal = Calendar::new();
+        let a = cal.schedule_in_order(SimTime::from_secs(1), "a");
+        let b = cal.schedule_in_order(SimTime::from_secs(2), "b");
+        cal.schedule_in_order(SimTime::from_secs(3), "c");
+        assert!(cal.cancel(b));
+        assert!(cal.cancel(a));
+        assert!(!cal.cancel(a));
+        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.pop().unwrap().2, "c");
+        assert!(cal.is_empty());
+        assert!(cal.pop().is_none());
     }
 
     #[test]

@@ -151,20 +151,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// The time it takes to move `bytes` bytes over a link of
-    /// `bits_per_sec` capacity, rounded up to a whole microsecond so a
-    /// transfer never completes early.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits_per_sec` is zero.
-    pub fn for_transfer(bytes: u64, bits_per_sec: u64) -> SimDuration {
-        assert!(bits_per_sec > 0, "zero-capacity link");
-        let bits = (bytes as u128) * 8;
-        let micros = (bits * MICROS_PER_SEC as u128).div_ceil(bits_per_sec as u128);
-        SimDuration(micros.min(u64::MAX as u128) as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -297,23 +283,6 @@ mod tests {
     #[should_panic(expected = "earlier is later")]
     fn duration_since_panics_on_inversion() {
         let _ = SimTime::from_secs(1).duration_since(SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn transfer_time_matches_paper_example() {
-        // Section III: a 128 MB block over 100 Mbps takes ~10s.
-        // The paper treats 128 MB as roughly 1 Gbit here; with binary MB the
-        // exact figure is 10.7s.
-        let d = SimDuration::for_transfer(128 * 1024 * 1024, 100_000_000);
-        let secs = d.as_secs_f64();
-        assert!((secs - 10.74).abs() < 0.01, "got {secs}");
-    }
-
-    #[test]
-    fn transfer_time_rounds_up() {
-        // 1 byte over 1 Gbps is 8 ns; must round up to 1 us, not 0.
-        let d = SimDuration::for_transfer(1, 1_000_000_000);
-        assert_eq!(d.as_micros(), 1);
     }
 
     #[test]
