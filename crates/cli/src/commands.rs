@@ -927,15 +927,28 @@ pub fn wordcount(args: &Args) -> CliResult {
     args.ensure_known(&["lines", "fail-node", "needle", "seed"])?;
     let lines: usize = args.get_or("lines", 20_000usize)?;
     let seed: u64 = args.get_or("seed", 7u64)?;
-    let text = CorpusBuilder::new(seed).lines(lines).build();
     let topo = Topology::homogeneous(3, 4, 4, 1);
+    let victim = match args.get("fail-node") {
+        Some(raw) => {
+            let idx: u32 = raw
+                .parse()
+                .map_err(|_| format!("bad --fail-node {raw:?}"))?;
+            let nodes = topo.num_nodes();
+            if idx as usize >= nodes {
+                return Err(format!(
+                    "--fail-node {idx} is out of range: the grid has nodes 0..{nodes}"
+                )
+                .into());
+            }
+            Some(NodeId(idx))
+        }
+        None => None,
+    };
+    let text = CorpusBuilder::new(seed).lines(lines).build();
     let params = CodeParams::new(12, 10).map_err(|e| e.to_string())?;
     let mut grid = MiniGrid::new(topo, params, 16 * 1024, &text, seed)?;
-    if let Some(raw) = args.get("fail-node") {
-        let idx: u32 = raw
-            .parse()
-            .map_err(|_| format!("bad --fail-node {raw:?}"))?;
-        grid.fail_node(NodeId(idx));
+    if let Some(node) = victim {
+        grid.fail_node(node);
     }
     let wc = run_job(&mut grid, &WordCount)?;
     let lc = run_job(&mut grid, &LineCount)?;

@@ -159,3 +159,11 @@ fn simulate_rejects_zero_bandwidth() {
 fn repair_rejects_zero_parallelism() {
     assert_one_line_error(&["repair", "--parallelism", "0"], "parallelism");
 }
+
+#[test]
+fn wordcount_rejects_an_unknown_node() {
+    assert_one_line_error(
+        &["wordcount", "--lines", "10", "--fail-node", "99"],
+        "--fail-node 99",
+    );
+}

@@ -119,6 +119,9 @@ impl PlacementPolicy for RackAwarePlacement {
         let mut native_load = vec![0usize; topo.num_nodes()];
         let k = layout.params().k();
         let mut map = Vec::with_capacity(layout.num_blocks());
+        // Per-rack scratch, reused by every stripe.
+        let mut members: Vec<NodeId> = Vec::new();
+        let mut picked: Vec<(usize, usize)> = Vec::new();
         for _stripe in 0..layout.num_stripes() {
             // Distribute n slots across racks: start with an even spread,
             // then push the remainder to randomly-ordered racks, never
@@ -155,11 +158,25 @@ impl PlacementPolicy for RackAwarePlacement {
                 if rack_quota == 0 {
                     continue;
                 }
-                let mut members: Vec<NodeId> =
-                    topo.nodes_in_rack(cluster::RackId(r as u32)).to_vec();
+                members.clear();
+                members.extend_from_slice(topo.nodes_in_rack(cluster::RackId(r as u32)));
                 rng.shuffle(&mut members);
-                members.sort_by_key(|m| load[m.index()]);
-                for &m in members.iter().take(rack_quota) {
+                // The `rack_quota` least (load, shuffled position) keys in
+                // order: the first `rack_quota` of a stable sort by load.
+                picked.clear();
+                for (pos, m) in members.iter().enumerate() {
+                    let key = (load[m.index()], pos);
+                    if picked.len() == rack_quota {
+                        if picked.last().is_some_and(|&last| last < key) {
+                            continue;
+                        }
+                        picked.pop();
+                    }
+                    let at = picked.partition_point(|&k| k < key);
+                    picked.insert(at, key);
+                }
+                for &(_, pos) in &picked {
+                    let m = members[pos];
                     chosen.push(m);
                     load[m.index()] += 1;
                 }

@@ -9,6 +9,7 @@
 //! actual degraded read — download `k` surviving shards, invert the
 //! decode matrix, reconstruct the bytes.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use cluster::{ClusterState, NodeId, Topology};
@@ -223,7 +224,8 @@ impl MiniGrid {
     }
 
     /// Reads native block `i` (dense native index), transparently
-    /// performing a degraded read if its holder is down. The read is
+    /// performing a degraded read if its holder is down. A live block is
+    /// lent, not copied; only a lost one is rebuilt. The read is
     /// attributed to a reader chosen uniformly among live nodes (as a
     /// re-scheduled map task would be).
     ///
@@ -235,18 +237,20 @@ impl MiniGrid {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn read_native(&mut self, i: usize) -> Result<Vec<u8>, GridError> {
+    pub fn read_native(&mut self, i: usize) -> Result<Cow<'_, [u8]>, GridError> {
         let block = self.store.layout().native_at(i);
         let holder = self.store.node_of(block);
         if self.state.is_alive(holder) {
             self.stats.direct_reads += 1;
-            return Ok(self.shards[self.store.layout().global_index(block)].clone());
+            return Ok(Cow::Borrowed(
+                &self.shards[self.store.layout().global_index(block)],
+            ));
         }
         // Degraded read: pick a live reader, download k surviving shards,
         // decode.
         let alive = self.state.alive_nodes();
         let reader = alive[self.rng.below(alive.len())];
-        self.degraded_read(block, reader)
+        self.degraded_read(block, reader).map(Cow::Owned)
     }
 
     /// Performs a degraded read of `block` at `reader`, preferring the
@@ -311,11 +315,14 @@ impl MiniGrid {
     ///
     /// Propagates [`GridError::Unrecoverable`] from degraded reads.
     pub fn read_file(&mut self) -> Result<Vec<u8>, GridError> {
-        let mut out = Vec::with_capacity(self.file_len);
+        let file_len = self.file_len;
+        let mut out = Vec::with_capacity(file_len);
         for i in 0..self.num_data_blocks() {
-            out.extend(self.read_native(i)?);
+            let block = self.read_native(i)?;
+            // The final block's padding would overflow the capacity.
+            let real = block.len().min(file_len - out.len());
+            out.extend_from_slice(&block[..real]);
         }
-        out.truncate(self.file_len);
         Ok(out)
     }
 

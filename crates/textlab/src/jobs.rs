@@ -13,21 +13,48 @@
 //! up to the first newline (they belong to block `i−1`'s reader, which
 //! reads past its block end to finish its last record).
 //!
-//! # Map, combine, reduce
+//! # Map
 //!
-//! Map emits borrowed keys: a word or a line is a slice of the block it
-//! was read from, so mapping a valid UTF-8 record allocates nothing.
-//! Each block's pairs go through a combiner, as in Hadoop: a hash map
-//! from borrowed key to count, whose hasher takes no random seed, so
-//! nothing depends on process randomness. At the end of the block its
-//! distinct keys are copied out once, as owned strings, and appended to
-//! the job's run. The reduce is one sort of that run by key, a merge of
-//! equal neighbours by summing their counts, and a bulk build of the
-//! output map from the sorted, unique keys.
+//! A live block is lent by the grid, not copied; only a lost one is
+//! rebuilt. Its complete lines, everything between its first and last
+//! newline, are checked as UTF-8 once and handed to
+//! [`TextJob::map_lines`] as one `&str`, so keys borrow from the block
+//! and mapping allocates nothing. Only the record that straddles a block
+//! boundary is copied, and only a block that is not valid UTF-8 is
+//! decoded line by line with [`String::from_utf8_lossy`]. WordCount
+//! finds the words of ASCII text 64 bytes at a time, from a
+//! word-at-a-time whitespace mask; Grep searches the whole run for its
+//! needle, eight positions at a time, and widens each match to its line.
 //!
-//! The output does not depend on the combiner's iteration order: after
-//! the merge every key appears once, and a sum of `u64` counts is the
-//! same in any order.
+//! # Combine
+//!
+//! Each block's pairs go through a [`Combiner`], as in Hadoop. A key of
+//! at most 16 bytes is packed into two zero-padded words plus its length
+//! and counted in an open-addressed table: equal keys are equal integers,
+//! so a hit hashes, compares and copies no bytes. The table owns its
+//! keys and lives for the whole job. A longer key goes to a per-block
+//! hash map from borrowed key to count, whose hasher (Fx, word at a
+//! time) takes no random seed, so nothing depends on process randomness.
+//! At the end of the block the map's distinct keys are copied out once,
+//! as owned strings, and appended to the job's run. The run grows to
+//! the size projected from the blocks mapped so far, not by doubling,
+//! so it is seldom copied and leaves no trail of freed buffers.
+//!
+//! # Reduce
+//!
+//! The table's keys join the run, and the run is sorted by key, most
+//! significant 8-byte digit first: entries carry their key's current
+//! big-endian digit, so most comparisons are between integers, and only
+//! a group that ties on a digit reads its keys again, for the next one.
+//! An entry is 32 bytes, the size of the `(String, u64)` pair it
+//! becomes, so the output map is built from the run's own buffer and the
+//! reduce holds no more than a run of output pairs would. Equal
+//! neighbours merge by summing their counts, and the output map is
+//! bulk-built from the sorted, unique pairs.
+//!
+//! The output does not depend on hash or table order: after the merge
+//! every key appears once, and a sum of `u64` counts is the same in any
+//! order.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -44,6 +71,14 @@ pub trait TextJob {
     /// Emits `(key, count)` pairs for one input line (without the
     /// trailing newline). Keys borrow from the line.
     fn map_line<'a>(&self, line: &'a str, emit: &mut dyn FnMut(&'a str, u64));
+
+    /// Maps a run of complete lines into `combiner`: `lines` is one or
+    /// more lines joined by `'\n'`, without a final newline. An override
+    /// must add exactly the pairs [`map_line`](TextJob::map_line) emits
+    /// for each line, which is what the default does.
+    fn map_lines<'a>(&self, lines: &'a str, combiner: &mut Combiner<'a>) {
+        map_each_line(self, lines, combiner);
+    }
 }
 
 /// Counts the occurrences of each word.
@@ -58,6 +93,19 @@ impl TextJob for WordCount {
     fn map_line<'a>(&self, line: &'a str, emit: &mut dyn FnMut(&'a str, u64)) {
         for word in line.split_whitespace() {
             emit(word, 1);
+        }
+    }
+
+    fn map_lines<'a>(&self, lines: &'a str, combiner: &mut Combiner<'a>) {
+        // A newline is whitespace, so the run's words are its lines'.
+        if lines.is_ascii() {
+            for_each_ascii_word(lines.as_bytes(), |start, end| {
+                combiner.add_word(lines, start, end);
+            });
+        } else {
+            for word in lines.split_whitespace() {
+                combiner.add(word, 1);
+            }
         }
     }
 }
@@ -87,6 +135,60 @@ impl TextJob for Grep {
             emit(line, 1);
         }
     }
+
+    fn map_lines<'a>(&self, lines: &'a str, combiner: &mut Combiner<'a>) {
+        let needle = self.needle.as_str();
+        if needle.is_empty() || needle.contains('\n') {
+            // Every line holds an empty needle, and none a newline.
+            map_each_line(self, lines, combiner);
+            return;
+        }
+        // Search the whole run; widen each match to its line and go on
+        // after that line.
+        let mut from = 0;
+        while let Some(at) = find(lines.as_bytes(), needle.as_bytes(), from) {
+            let start = lines[from..at].rfind('\n').map_or(from, |i| from + i + 1);
+            let end = lines[at..].find('\n').map_or(lines.len(), |i| at + i);
+            combiner.add(&lines[start..end], 1);
+            if end == lines.len() {
+                break;
+            }
+            from = end + 1;
+        }
+    }
+}
+
+/// The first position at or after `from` where the non-empty `needle`
+/// occurs in `haystack`. Eight positions are tested at once: a match
+/// starts where the byte equals the needle's first byte and the byte
+/// `needle.len() − 1` further on equals its last, and only positions
+/// that pass both are compared in full.
+fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const LOWS: u64 = !(ONES << 7);
+    let last = needle.len() - 1;
+    let first_byte = ONES * u64::from(needle[0]);
+    let last_byte = ONES * u64::from(needle[last]);
+    let word = |at: usize| {
+        haystack[at..]
+            .first_chunk()
+            .map_or(0, |w| u64::from_le_bytes(*w))
+    };
+    let mut at = from;
+    while at + last + 8 <= haystack.len() {
+        let x = (word(at) ^ first_byte) | (word(at + last) ^ last_byte);
+        // The top bit of each byte that is zero in `x`, exactly.
+        let mut hits = !((x & LOWS).wrapping_add(LOWS) | x) & !LOWS;
+        while hits != 0 {
+            let candidate = at + (hits.trailing_zeros() / 8) as usize;
+            if haystack[candidate..].starts_with(needle) {
+                return Some(candidate);
+            }
+            hits &= hits - 1;
+        }
+        at += 8;
+    }
+    (at..haystack.len().saturating_sub(last)).find(|&at| haystack[at..].starts_with(needle))
 }
 
 /// Counts the occurrences of each distinct line.
@@ -119,13 +221,249 @@ impl JobOutput {
     }
 }
 
-/// One block's combiner: borrowed key → summed count.
-type Combiner<'a> = HashMap<&'a str, u64, BuildHasherDefault<KeyHasher>>;
+/// One block's combiner, handed to [`TextJob::map_lines`]: it sums the
+/// counts of equal keys before they reach the reduce (see the
+/// [module docs](self)).
+pub struct Combiner<'a> {
+    reduce: &'a mut Reduce,
+    /// Keys longer than [`ShortKey`] holds, borrowed from the block.
+    long: HashMap<&'a str, u64, BuildHasherDefault<KeyHasher>>,
+}
+
+impl<'a> Combiner<'a> {
+    fn new(reduce: &'a mut Reduce) -> Combiner<'a> {
+        let long = HashMap::with_capacity_and_hasher(reduce.long_distinct, Default::default());
+        Combiner { reduce, long }
+    }
+
+    /// Adds `count` to `key`.
+    #[inline]
+    pub fn add(&mut self, key: &'a str, count: u64) {
+        match ShortKey::new(key.as_bytes()) {
+            Some(short) => self.reduce.short.add(short, count),
+            None => *self.long.entry(key).or_default() += count,
+        }
+    }
+
+    /// Adds one to the word `text[start..end]`. Where `text` has 16
+    /// bytes from `start` on, a short word is packed from one load and a
+    /// mask instead of a branch per length.
+    #[inline]
+    fn add_word(&mut self, text: &'a str, start: usize, end: usize) {
+        let window = text.as_bytes()[start..].first_chunk::<16>();
+        match window {
+            Some(window) if end - start <= 16 => self
+                .reduce
+                .short
+                .add(ShortKey::from_window(window, end - start), 1),
+            _ => self.add(&text[start..end], 1),
+        }
+    }
+
+    /// Maps one record outside a valid UTF-8 run, decoded with
+    /// [`String::from_utf8_lossy`]. A valid record's keys borrow it; a
+    /// decoded copy's keys die with this call, so its long keys go
+    /// straight into the run, owned.
+    fn add_record(&mut self, job: &dyn TextJob, record: &'a [u8]) {
+        match String::from_utf8_lossy(record) {
+            Cow::Borrowed(line) => job.map_line(line, &mut |key, count| self.add(key, count)),
+            Cow::Owned(line) => job.map_line(&line, &mut |key, count| match ShortKey::new(
+                key.as_bytes(),
+            ) {
+                Some(short) => self.reduce.short.add(short, count),
+                None => self.reduce.run.push(Entry::new(key, count)),
+            }),
+        }
+    }
+
+    /// Ends the block: its long keys join the run, owned.
+    fn finish(self) {
+        let reduce = self.reduce;
+        reduce.long_distinct = self.long.len();
+        reduce.mapped += 1;
+        let len = reduce.run.len() + self.long.len();
+        if len > reduce.run.capacity() {
+            // Grow toward the whole job's run, projected from the blocks
+            // mapped so far with an eighth to spare, rather than doubling
+            // from empty: each doubling copies the run and leaves the old
+            // buffer as a hole in the heap.
+            let projected = len.saturating_mul(reduce.blocks) / reduce.mapped * 9 / 8;
+            reduce.run.reserve(projected.max(len) - reduce.run.len());
+        }
+        reduce.run.extend(
+            self.long
+                .into_iter()
+                .map(|(key, count)| Entry::new(key, count)),
+        );
+    }
+}
+
+/// Maps each line of `lines` with [`TextJob::map_line`].
+fn map_each_line<'a>(job: &(impl TextJob + ?Sized), lines: &'a str, combiner: &mut Combiner<'a>) {
+    for line in lines.split('\n') {
+        job.map_line(line, &mut |key, count| combiner.add(key, count));
+    }
+}
+
+/// A key of at most 16 bytes: its bytes as two zero-padded
+/// little-endian words, plus its length (so `"a"` and `"a\0"` differ).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShortKey {
+    lo: u64,
+    hi: u64,
+    len: u64,
+}
+
+impl ShortKey {
+    /// The length that marks an empty [`ShortKeys`] slot.
+    const VACANT: u64 = u64::MAX;
+
+    /// Packs `key`, or `None` if it is longer than 16 bytes. Each length
+    /// class reads the key with at most two overlapping loads, so no
+    /// byte is copied one at a time.
+    #[inline]
+    fn new(key: &[u8]) -> Option<ShortKey> {
+        let len = key.len();
+        let le32 = |b: &[u8]| {
+            b.first_chunk()
+                .map_or(0, |w| u64::from(u32::from_le_bytes(*w)))
+        };
+        let le64 = |b: &[u8]| b.first_chunk().map_or(0, |w| u64::from_le_bytes(*w));
+        let (lo, hi) = match len {
+            0 => (0, 0),
+            1..=3 => (
+                u64::from(key[0])
+                    | u64::from(key[len / 2]) << (len / 2 * 8)
+                    | u64::from(key[len - 1]) << ((len - 1) * 8),
+                0,
+            ),
+            4..=7 => (le32(key) | le32(&key[len - 4..]) << ((len - 4) * 8), 0),
+            8..=16 => (
+                le64(key),
+                le64(&key[len - 8..])
+                    .checked_shr((16 - len as u32) * 8)
+                    .unwrap_or(0),
+            ),
+            _ => return None,
+        };
+        Some(ShortKey {
+            lo,
+            hi,
+            len: len as u64,
+        })
+    }
+
+    /// Packs the key that is the first `len <= 16` bytes of `window`.
+    #[inline]
+    fn from_window(window: &[u8; 16], len: usize) -> ShortKey {
+        let keep = 1u128
+            .checked_shl(len as u32 * 8)
+            .map_or(u128::MAX, |bit| bit - 1);
+        let bytes = u128::from_le_bytes(*window) & keep;
+        ShortKey {
+            lo: bytes as u64,
+            hi: (bytes >> 64) as u64,
+            len: len as u64,
+        }
+    }
+
+    /// A multiplicative hash; [`ShortKeys`] indexes by its top bits.
+    fn hash(&self) -> u64 {
+        (self.lo ^ self.hi.rotate_left(29) ^ self.len).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// The key's bytes, owned. They are the bytes of a `&str`, so the
+    /// lossy decode never replaces anything.
+    fn to_boxed_str(self) -> Box<str> {
+        let mut bytes = [0; 16];
+        bytes[..8].copy_from_slice(&self.lo.to_le_bytes());
+        bytes[8..].copy_from_slice(&self.hi.to_le_bytes());
+        String::from_utf8_lossy(&bytes[..self.len as usize]).into()
+    }
+}
+
+/// A job's short keys and their counts: an open-addressed table with
+/// linear probing, at most a quarter full (a collision costs a
+/// mispredicted branch), that owns its keys and so lives for the whole
+/// job.
+struct ShortKeys {
+    /// Power-of-two many slots; a vacant one has length
+    /// [`ShortKey::VACANT`].
+    slots: Vec<(ShortKey, u64)>,
+    len: usize,
+}
+
+impl ShortKeys {
+    fn new() -> ShortKeys {
+        ShortKeys {
+            slots: Self::vacant(64),
+            len: 0,
+        }
+    }
+
+    fn vacant(slots: usize) -> Vec<(ShortKey, u64)> {
+        let vacant = ShortKey {
+            lo: 0,
+            hi: 0,
+            len: ShortKey::VACANT,
+        };
+        vec![(vacant, 0); slots]
+    }
+
+    #[inline]
+    fn add(&mut self, key: ShortKey, count: u64) {
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mask = self.slots.len() - 1;
+        let mut i = (key.hash() >> shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.0 == key {
+                slot.1 += count;
+                return;
+            }
+            if slot.0.len == ShortKey::VACANT {
+                *slot = (key, count);
+                self.len += 1;
+                if self.len * 4 > self.slots.len() {
+                    self.grow();
+                }
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let slots = Self::vacant(self.slots.len() * 2);
+        let old = std::mem::replace(&mut self.slots, slots);
+        self.len = 0;
+        for (key, count) in old {
+            if key.len != ShortKey::VACANT {
+                self.add(key, count);
+            }
+        }
+    }
+
+    fn into_entries(self) -> impl Iterator<Item = Entry> {
+        self.slots
+            .into_iter()
+            .filter(|(key, _)| key.len != ShortKey::VACANT)
+            .map(|(key, count)| Entry {
+                // The key's first eight bytes, big-endian.
+                digit: key.lo.swap_bytes(),
+                key: key.to_boxed_str(),
+                count,
+            })
+    }
+}
 
 /// A multiplicative word-at-a-time hasher (the Fx hash), seeded with
-/// zero. Runs must not depend on a random seed, and SipHash with fixed,
-/// public keys resists crafted collisions no better, so the faster hash
-/// gives up no protection.
+/// zero, for the keys too long for [`ShortKeys`]. Runs must not depend
+/// on a random seed, and SipHash with fixed, public keys resists crafted
+/// collisions no better, so the faster hash gives up no protection. The
+/// tail of a key is packed like a [`ShortKey`], and `str`'s terminating
+/// byte is taken as one word, so no byte goes through `memcpy`.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -137,18 +475,182 @@ impl KeyHasher {
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().unwrap_or_default()));
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.add(u64::from_le_bytes(*word));
         }
-        let mut tail = [0; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        self.add(u64::from_le_bytes(tail));
+        self.add(ShortKey::new(tail).map_or(0, |key| key.lo));
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
     }
 
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// A run entry: the digit its sort compares, the key and its count.
+/// At 32 bytes it is the size of the `(String, u64)` pair it becomes,
+/// so the output map is built from the run's own buffer.
+struct Entry {
+    digit: u64,
+    key: Box<str>,
+    count: u64,
+}
+
+impl Entry {
+    fn new(key: &str, count: u64) -> Entry {
+        Entry {
+            digit: digit(key.as_bytes(), 0),
+            key: key.into(),
+            count,
+        }
+    }
+}
+
+/// Bytes `offset..offset + 8` of `key` as a big-endian word, zero past
+/// the key's end. Between keys that agree on their first `offset` bytes,
+/// a smaller digit means a smaller key; an equal digit decides nothing
+/// (`"ab"` and `"ab\0"` share theirs).
+fn digit(key: &[u8], offset: usize) -> u64 {
+    let tail = key.get(offset..).unwrap_or_default();
+    match tail.first_chunk::<8>() {
+        Some(word) => u64::from_be_bytes(*word),
+        None => {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(word)
+        }
+    }
+}
+
+/// Groups no larger than this are sorted by comparing keys.
+const SMALL_GROUP: usize = 8;
+
+/// The digit offset from which the sort compares keys instead, which
+/// bounds its recursion.
+const MAX_DIGIT_OFFSET: usize = 64;
+
+/// Sorts `run` by key, most significant digit first. Every key in `run`
+/// agrees on its first `offset` bytes, and each entry's digit is its
+/// key's [`digit`] at `offset`. The sort orders by digit; each group of
+/// equal digits then gets its next digit and is sorted again. Only a
+/// small group, or one whose keys share a long prefix, compares keys.
+fn sort_run(run: &mut [Entry], offset: usize) {
+    run.sort_unstable_by_key(|entry| entry.digit);
+    for group in run.chunk_by_mut(|a, b| a.digit == b.digit) {
+        if group.len() < 2 {
+            continue;
+        }
+        if group.len() <= SMALL_GROUP || offset + 8 >= MAX_DIGIT_OFFSET {
+            group.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        } else {
+            for entry in group.iter_mut() {
+                entry.digit = digit(entry.key.as_bytes(), offset + 8);
+            }
+            sort_run(group, offset + 8);
+        }
+    }
+}
+
+/// A job's reduce state across blocks.
+struct Reduce {
+    short: ShortKeys,
+    /// Every block's long keys, owned.
+    run: Vec<Entry>,
+    /// The last block's count of distinct long keys, to size the next
+    /// block's map.
+    long_distinct: usize,
+    /// The job's blocks, and how many have been mapped.
+    blocks: usize,
+    mapped: usize,
+}
+
+impl Reduce {
+    fn new(blocks: usize) -> Reduce {
+        Reduce {
+            short: ShortKeys::new(),
+            run: Vec::new(),
+            long_distinct: 0,
+            blocks,
+            mapped: 0,
+        }
+    }
+
+    /// Sorts the run and the table's keys together, merges equal keys
+    /// and builds the output from the sorted, unique pairs.
+    fn finish(self) -> BTreeMap<String, u64> {
+        let mut run = self.run;
+        run.extend(self.short.into_entries());
+        sort_run(&mut run, 0);
+        run.dedup_by(|next, kept| {
+            let same = next.key == kept.key;
+            if same {
+                kept.count += next.count;
+            }
+            same
+        });
+        run.into_iter()
+            .map(|entry| (entry.key.into_string(), entry.count))
+            .collect()
+    }
+}
+
+/// Calls `word(start, end)` for each word of the ASCII text `text`, in
+/// order: the maximal runs of bytes other than `\t`, `\n`, `\x0B`,
+/// `\x0C`, `\r` and space, which are `split_whitespace`'s ASCII
+/// whitespace. Works 64 bytes at a time: in a mask with one bit per
+/// whitespace byte, the bits that differ from the bit before them
+/// alternate between word starts and word ends.
+fn for_each_ascii_word(text: &[u8], mut word: impl FnMut(usize, usize)) {
+    let (chunks, rest) = text.as_chunks::<64>();
+    // The text is padded to whole chunks with spaces, which also end a
+    // word that runs to the text's end.
+    let mut tail = [b' '; 64];
+    tail[..rest.len()].copy_from_slice(rest);
+    let mut start = 0;
+    // Bit 0 is set when the byte before the chunk is whitespace; the
+    // text's start counts as whitespace.
+    let mut space_before = 1;
+    for (n, chunk) in chunks.iter().chain([&tail]).enumerate() {
+        let space = whitespace_mask(chunk);
+        let mut edges = space ^ (space << 1 | space_before);
+        space_before = space >> 63;
+        while edges != 0 {
+            let bit = edges.trailing_zeros();
+            let at = n * 64 + bit as usize;
+            if space >> bit & 1 == 0 {
+                start = at;
+            } else {
+                word(start, at);
+            }
+            edges &= edges - 1;
+        }
+    }
+}
+
+/// Bit `i` is set when `chunk[i]` is ASCII whitespace; `chunk` is
+/// ASCII. Eight bytes at a time, each byte's test lands in its top bit
+/// without carrying into the next byte, and a multiply gathers the
+/// eight top bits into one byte.
+fn whitespace_mask(chunk: &[u8; 64]) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const TOPS: u64 = ONES << 7;
+    let mut mask = 0;
+    for (i, word) in chunk.as_chunks::<8>().0.iter().enumerate() {
+        let v = u64::from_le_bytes(*word);
+        // A byte below 0x80 plus 0x80 − c has its top bit set iff it is
+        // at least c: here `\t..=\r` is at least 0x09 and not 0x0E.
+        let control = v.wrapping_add(ONES * (0x80 - 0x09)) & !v.wrapping_add(ONES * (0x80 - 0x0E));
+        // Spaces are the zero bytes of `v ^ "        "`.
+        let x = v ^ (ONES * u64::from(b' '));
+        let space = !((x & !TOPS).wrapping_add(!TOPS) | x);
+        let tops = (control | space) & TOPS;
+        mask |= ((tops >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    mask
 }
 
 /// Runs a [`TextJob`] over every data block of the grid, reconstructing
@@ -168,60 +670,47 @@ pub fn run_job(grid: &mut MiniGrid, job: &dyn TextJob) -> Result<JobOutput, Grid
     let before = grid.stats();
     let blocks = grid.num_data_blocks();
     let file_len = grid.file_len();
-    // Every block's combined pairs, reduced by one sort at the end.
-    let mut run: Vec<(String, u64)> = Vec::new();
-    let mut distinct = 0;
+    let mut reduce = Reduce::new(blocks);
     // The record that straddles into the current block, as read so far.
     let mut carry: Vec<u8> = Vec::new();
     for i in 0..blocks {
-        let mut bytes = grid.read_native(i)?;
+        let block = grid.read_native(i)?;
         // Trim zero padding on the final block.
-        if i == blocks - 1 {
-            let block_size = bytes.len();
-            let real = file_len - i * block_size;
-            bytes.truncate(real.min(block_size));
-        }
+        let bytes = &block[..(file_len - i * block.len()).min(block.len())];
         let newline = |b: &u8| *b == b'\n';
         let (Some(first), Some(last)) = (
             bytes.iter().position(newline),
             bytes.iter().rposition(newline),
         ) else {
-            carry.extend_from_slice(&bytes);
+            carry.extend_from_slice(bytes);
             continue;
         };
         // The carried record ends at this block's first newline; the
         // complete lines after it are mapped in place.
         carry.extend_from_slice(&bytes[..first]);
-        let mut combiner = Combiner::with_capacity_and_hasher(distinct, Default::default());
-        map_record(job, &carry, &mut combiner, &mut run);
-        // `bytes[first..last]` starts with the first newline, so its
-        // first piece is empty.
-        for line in bytes[first..last].split(newline).skip(1) {
-            map_record(job, line, &mut combiner, &mut run);
+        let mut combiner = Combiner::new(&mut reduce);
+        combiner.add_record(job, &carry);
+        if first < last {
+            let lines = &bytes[first + 1..last];
+            match std::str::from_utf8(lines) {
+                Ok(lines) => job.map_lines(lines, &mut combiner),
+                Err(_) => {
+                    for line in lines.split(newline) {
+                        combiner.add_record(job, line);
+                    }
+                }
+            }
         }
-        distinct = combiner.len();
-        run.extend(
-            combiner
-                .into_iter()
-                .map(|(key, count)| (key.to_owned(), count)),
-        );
+        combiner.finish();
         carry.clear();
         carry.extend_from_slice(&bytes[last + 1..]);
     }
     if !carry.is_empty() {
-        let line = String::from_utf8_lossy(&carry);
-        job.map_line(&line, &mut |key, count| run.push((key.to_owned(), count)));
+        let mut combiner = Combiner::new(&mut reduce);
+        combiner.add_record(job, &carry);
+        combiner.finish();
     }
-
-    run.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    run.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 += next.1;
-        }
-        same
-    });
-    let results = BTreeMap::from_iter(run);
+    let results = reduce.finish();
 
     let after = grid.stats();
     let stats = ReadStats {
@@ -231,25 +720,6 @@ pub fn run_job(grid: &mut MiniGrid, job: &dyn TextJob) -> Result<JobOutput, Grid
         cross_rack_transfers: after.cross_rack_transfers - before.cross_rack_transfers,
     };
     Ok(JobOutput { results, stats })
-}
-
-/// Maps one record. A valid UTF-8 record's pairs go to the combiner
-/// with keys borrowed from `record`; a lossy-decoded one's keys borrow
-/// the decoded copy, so its pairs go straight into the run.
-fn map_record<'a>(
-    job: &dyn TextJob,
-    record: &'a [u8],
-    combiner: &mut Combiner<'a>,
-    run: &mut Vec<(String, u64)>,
-) {
-    match String::from_utf8_lossy(record) {
-        Cow::Borrowed(line) => job.map_line(line, &mut |key, count| {
-            *combiner.entry(key).or_default() += count;
-        }),
-        Cow::Owned(line) => job.map_line(&line, &mut |key, count| {
-            run.push((key.to_owned(), count));
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -331,6 +801,107 @@ mod tests {
         assert!(degraded_out.stats.degraded_reads > 0);
         // Each degraded read downloads k-ish shards.
         assert!(degraded_out.stats.blocks_transferred >= degraded_out.stats.degraded_reads);
+    }
+
+    #[test]
+    fn sort_run_breaks_digit_ties_by_key() {
+        // Keys that tie on one or more 8-byte digits: equal up to
+        // trailing NULs, sharing a 16-byte prefix, sharing more than
+        // `MAX_DIGIT_OFFSET` bytes, and groups both smaller and larger
+        // than `SMALL_GROUP`.
+        let long = "x".repeat(MAX_DIGIT_OFFSET + 3);
+        let mut keys: Vec<String> = vec![
+            "ab".into(),
+            "ab\0".into(),
+            "ab\0\0\0\0\0\0\0\0".into(),
+            "ab\0\0\0\0\0\0\0\0\0".into(),
+            "".into(),
+            "\0".into(),
+            "\u{e9}t\u{e9}".into(),
+        ];
+        for i in 0..3 * SMALL_GROUP {
+            keys.push(format!("sixteen byte pre{}", i % 11));
+            keys.push(format!("sixteen byte pre{i}x"));
+            keys.push(format!("{long}{}", i % 5));
+            keys.push(format!("{long}\0{i}"));
+        }
+        keys.reverse();
+        let mut run: Vec<Entry> = keys.iter().map(|key| Entry::new(key, 1)).collect();
+        sort_run(&mut run, 0);
+        let sorted: Vec<&str> = run.iter().map(|entry| &*entry.key).collect();
+        let mut want: Vec<&str> = keys.iter().map(String::as_str).collect();
+        want.sort_unstable();
+        assert_eq!(sorted, want);
+    }
+
+    #[test]
+    fn short_keys_pack_alike_from_any_source() {
+        let text = b"abcdefghijklmnop\0\0qrstuvwxyz0123456789";
+        let mut seen = std::collections::HashSet::new();
+        for start in 0..8 {
+            for len in 0..=16 {
+                let key = &text[start..start + len];
+                let packed = ShortKey::new(key).unwrap();
+                let window = text[start..].first_chunk::<16>().unwrap();
+                assert_eq!(ShortKey::from_window(window, len), packed, "{key:?}");
+                assert_eq!(packed.to_boxed_str().as_bytes(), key);
+                seen.insert((packed.lo, packed.hi, packed.len));
+            }
+        }
+        // Distinct keys pack apart, `"a"` and `"a\0"` included.
+        assert_eq!(seen.len(), 8 * 17 - 7);
+        assert_ne!(ShortKey::new(b"a"), ShortKey::new(b"a\0"));
+        assert_eq!(ShortKey::new(&[b'a'; 17]), None);
+    }
+
+    #[test]
+    fn whitespace_mask_matches_split_whitespace() {
+        for b in 0..0x80u8 {
+            for at in [0, 7, 8, 31, 63] {
+                let mut chunk = [b'x'; 64];
+                chunk[at] = b;
+                let want = if char::from(b).is_whitespace() {
+                    1 << at
+                } else {
+                    0
+                };
+                assert_eq!(whitespace_mask(&chunk), want, "byte {b:#04x} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn ascii_words_match_split_whitespace() {
+        let text = "  one\ttwo\x0Bthree\x0Cfour\r\nfive  \x1Fsix ".repeat(5);
+        let mut words = Vec::new();
+        for_each_ascii_word(text.as_bytes(), |start, end| words.push(&text[start..end]));
+        assert_eq!(words, text.split_whitespace().collect::<Vec<_>>());
+        // A word that runs to the end of a text of whole chunks.
+        let text = "w".repeat(128);
+        let mut words = Vec::new();
+        for_each_ascii_word(text.as_bytes(), |start, end| words.push((start, end)));
+        assert_eq!(words, [(0, 128)]);
+    }
+
+    #[test]
+    fn find_matches_naive_search() {
+        let hay = b"abaabaaabzzaaaaab0123456789aab";
+        for needle in [
+            &b"a"[..],
+            b"aab",
+            b"aaab",
+            b"b",
+            b"zz",
+            b"9aab",
+            b"abc",
+            b"0123456789aab",
+        ] {
+            for from in 0..=hay.len() {
+                let naive = (from..=hay.len().saturating_sub(needle.len()))
+                    .find(|&at| hay[at..].starts_with(needle));
+                assert_eq!(find(hay, needle, from), naive, "{needle:?} from {from}");
+            }
+        }
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub mod jobs;
 
 pub use corpus::CorpusBuilder;
 pub use grid::{GridError, MiniGrid, ReadStats};
-pub use jobs::{run_job, Grep, JobOutput, LineCount, TextJob, WordCount};
+pub use jobs::{run_job, Combiner, Grep, JobOutput, LineCount, TextJob, WordCount};

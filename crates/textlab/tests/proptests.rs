@@ -41,19 +41,36 @@ fn oracle_linecount(text: &[u8]) -> BTreeMap<String, u64> {
 }
 
 fn arbitrary_bytes() -> impl Strategy<Value = Vec<u8>> {
-    // Pieces that stress record splitting: multi-byte UTF-8 (a block
-    // boundary may cut any of them), Unicode whitespace, invalid bytes,
-    // `\r`, and runs of newlines that make empty lines.
+    // Pieces that stress record splitting and the jobs' fast paths:
+    // multi-byte UTF-8 (a block boundary may cut any of them), every
+    // ASCII whitespace byte and some Unicode whitespace (U+0085, U+00A0,
+    // U+2028, U+3000), invalid bytes, NULs, runs of newlines that make
+    // empty lines, words around the 8-, 16- and 64-byte marks, and line
+    // starts that share a 16-byte prefix, one of them a whole line that
+    // repeats (so blocks share long keys the reduce must merge).
+    let fixed = |bytes: &'static [u8]| Just(bytes.to_vec());
+    let word = |len: std::ops::RangeInclusive<usize>| {
+        proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'z')], len)
+    };
     let piece = prop_oneof![
-        6 => prop_oneof![Just(&b"a"[..]), Just(&b"b"[..]), Just(&b" "[..])],
-        2 => Just(&b"\n"[..]),
-        1 => Just(&b"\r"[..]),
-        1 => Just(&b"\xFF"[..]),
-        1 => Just("\u{e9}".as_bytes()),
-        1 => Just("\u{20ac}".as_bytes()),
-        1 => Just("\u{1d11e}".as_bytes()),
-        1 => Just("\u{a0}".as_bytes()),
-        1 => Just("\u{3000}".as_bytes()),
+        6 => prop_oneof![fixed(b"a"), fixed(b"b"), fixed(b" ")],
+        2 => fixed(b"\n"),
+        1 => fixed(b"\r"),
+        1 => prop_oneof![fixed(b"\t"), fixed(b"\x0B"), fixed(b"\x0C")],
+        1 => fixed(b"\xFF"),
+        1 => fixed(b"\0"),
+        1 => fixed("\u{e9}".as_bytes()),
+        1 => fixed("\u{20ac}".as_bytes()),
+        1 => fixed("\u{1d11e}".as_bytes()),
+        1 => prop_oneof![
+            fixed("\u{85}".as_bytes()),
+            fixed("\u{a0}".as_bytes()),
+            fixed("\u{2028}".as_bytes()),
+            fixed("\u{3000}".as_bytes()),
+        ],
+        2 => prop_oneof![word(7..=9), word(15..=17), word(63..=65)],
+        2 => fixed(b"\nsixteen byte pre"),
+        1 => fixed(b"\nsixteen byte prefix of a repeated line\n"),
     ];
     proptest::collection::vec(piece, 1..600).prop_map(|pieces| pieces.concat())
 }
@@ -81,12 +98,10 @@ fn count<'a>(keys: impl Iterator<Item = &'a str>) -> BTreeMap<String, u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
     #[test]
     fn record_splitting_is_exact_over_arbitrary_bytes(
         text in arbitrary_bytes(),
-        block_size in 1usize..128,
+        block_size in 1usize..=4096,
         fail in proptest::option::of(0u32..6),
         seed in any::<u64>(),
     ) {
@@ -103,7 +118,6 @@ proptest! {
             grid.fail_node(NodeId(f));
         }
         let records = oracle_records(&text);
-        let needle = "\u{e9}";
         let wc = run_job(&mut grid, &WordCount).unwrap();
         prop_assert_eq!(
             wc.results,
@@ -111,11 +125,16 @@ proptest! {
         );
         let lc = run_job(&mut grid, &LineCount).unwrap();
         prop_assert_eq!(lc.results, count(records.iter().map(String::as_str)));
-        let grep = run_job(&mut grid, &Grep::new(needle)).unwrap();
-        prop_assert_eq!(
-            grep.results,
-            count(records.iter().map(String::as_str).filter(|r| r.contains(needle)))
-        );
+        // A multi-byte needle, ASCII ones that end in the same byte they
+        // start with or overlap themselves, and the ones no line can hold
+        // (a newline) or every line holds (empty).
+        for needle in ["\u{e9}", "aza", "zz", "a b", "pre\n", ""] {
+            let grep = run_job(&mut grid, &Grep::new(needle)).unwrap();
+            prop_assert_eq!(
+                grep.results,
+                count(records.iter().map(String::as_str).filter(|r| r.contains(needle)))
+            );
+        }
     }
 
     #[test]
