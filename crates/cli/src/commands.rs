@@ -3,12 +3,13 @@
 use std::error::Error;
 use std::fs::File;
 use std::io::BufWriter;
+use std::sync::Mutex;
 
 use dfs::analysis::ModelParams;
 use dfs::cluster::{FailureTimeline, NodeId, SpeedProfile, Topology};
 use dfs::ecstore::FetchPolicy;
 use dfs::erasure::CodeParams;
-use dfs::experiment::{Experiment, FailureSpec, PlacementKind, Policy};
+use dfs::experiment::{Experiment, ExperimentError, FailureSpec, PlacementKind, Policy};
 use dfs::mapreduce::engine::EngineConfig;
 use dfs::mapreduce::job::JobSpec;
 use dfs::mapreduce::MapLocality;
@@ -28,7 +29,7 @@ use dfs::workloads::{ArrivalTrace, TestbedWorkload};
 use sweep::{
     parse_code as parse_sweep_code, parse_policy as parse_sweep_policy, parse_spec_jsonl,
     run_sweep as run_grid_sweep, sweep_seeds, trace_diff_scenario, FailureAxis as SweepFailureAxis,
-    SweepBase, SweepSpec, WorkloadAxis as SweepWorkloadAxis,
+    SweepBase, SweepSpec, SweepSummary, WorkloadAxis as SweepWorkloadAxis,
 };
 
 use crate::args::Args;
@@ -333,10 +334,10 @@ pub fn simulate(args: &Args) -> CliResult {
     }
     let exp = exp;
 
-    let sweeps = sweep_seeds(seeds, |seed| {
-        let normal = exp.run_normal_mode(seed).ok()?;
-        let run = exp.run(policy, seed).ok()?;
-        Some(vec![
+    let sweeps = sweep_runs(seeds, |seed| {
+        let normal = exp.run_normal_mode(seed)?;
+        let run = exp.run(policy, seed)?;
+        Ok(vec![
             run.jobs[0].runtime().as_secs_f64(),
             run.jobs[0].runtime().as_secs_f64() / normal.jobs[0].runtime().as_secs_f64(),
             run.map_count(MapLocality::Degraded) as f64,
@@ -393,6 +394,31 @@ pub fn simulate(args: &Args) -> CliResult {
         )?;
     }
     Ok(())
+}
+
+/// [`sweep_seeds`] over runs that can fail. When every seed fails, the
+/// error names the lowest failed seed's cause (a bad job spec or layout
+/// fails every seed alike).
+fn sweep_runs<F>(seeds: u64, run: F) -> Result<Vec<SweepSummary>, String>
+where
+    F: Fn(u64) -> Result<Vec<f64>, ExperimentError> + Sync,
+{
+    let first_error: Mutex<Option<(u64, ExperimentError)>> = Mutex::new(None);
+    let sweeps = sweep_seeds(seeds, |seed| {
+        run(seed)
+            .map_err(|e| {
+                if let Ok(mut first) = first_error.lock() {
+                    if first.as_ref().is_none_or(|(s, _)| seed < *s) {
+                        *first = Some((seed, e));
+                    }
+                }
+            })
+            .ok()
+    });
+    sweeps.map_err(|e| match first_error.into_inner() {
+        Ok(Some((seed, cause))) => format!("{e}; seed {seed}: {cause}"),
+        _ => e.to_string(),
+    })
 }
 
 /// Parses `--poisson 120,10` (mean inter-arrival seconds, job count).
@@ -850,10 +876,10 @@ pub fn testbed(args: &Args) -> CliResult {
     let mut table = Table::new(&["job", "LF mean (s)", "EDF mean (s)", "reduction"]);
     for w in workloads {
         let exp = dfs::presets::testbed(&[w]);
-        let sweeps = sweep_seeds(runs, |seed| {
-            let lf = exp.run(Policy::LocalityFirst, seed).ok()?;
-            let edf = exp.run(Policy::EnhancedDegradedFirst, seed).ok()?;
-            Some(vec![
+        let sweeps = sweep_runs(runs, |seed| {
+            let lf = exp.run(Policy::LocalityFirst, seed)?;
+            let edf = exp.run(Policy::EnhancedDegradedFirst, seed)?;
+            Ok(vec![
                 lf.jobs[0].runtime().as_secs_f64(),
                 edf.jobs[0].runtime().as_secs_f64(),
             ])

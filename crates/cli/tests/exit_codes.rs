@@ -27,6 +27,22 @@ fn simulate_with_zero_seeds_is_a_typed_error() {
 }
 
 #[test]
+fn simulate_names_a_bad_shuffle_ratio() {
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--shuffle", "-1"],
+        "shuffle_ratio must be a finite fraction",
+    );
+}
+
+#[test]
+fn simulate_names_a_bad_block_count() {
+    assert_one_line_error(
+        &["simulate", "--seeds", "1", "--blocks", "0"],
+        "native block count 0",
+    );
+}
+
+#[test]
 fn testbed_with_zero_runs_is_a_typed_error() {
     assert_one_line_error(&["testbed", "--runs", "0"], "at least one seed");
 }

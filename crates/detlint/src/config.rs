@@ -93,8 +93,13 @@ impl Default for Config {
             // (per-ISA modules behind runtime dispatch); the scalar
             // reference path and proptests pin their output. Nothing
             // else in the workspace — gf256.rs included, now that its
-            // kernels moved under simd/ — may contain `unsafe`.
-            unsafe_allow_files: vec!["crates/erasure/src/simd/".to_string()],
+            // kernels moved under simd/ — may contain `unsafe`, except
+            // the one test whose counting global allocator (an unsafe
+            // trait) forwards every call to `System`.
+            unsafe_allow_files: vec![
+                "crates/erasure/src/simd/".to_string(),
+                "crates/textlab/tests/allocations.rs".to_string(),
+            ],
             trace_event_kinds: schema_event_kinds(TRACE_SCHEMA_V1),
             event_vocab_file: "crates/obs/src/event.rs".to_string(),
             rng_stream_crates: [

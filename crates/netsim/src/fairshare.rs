@@ -532,7 +532,10 @@ impl FlowIncidence {
                 );
                 link.remaining = cap;
             }
-            resume = self.first_reached_round(pos as usize, capacities, resume);
+            // The walk can only lower `resume`; at 0 it has nothing to find.
+            if resume > 0 {
+                resume = self.first_reached_round(pos as usize, capacities, resume);
+            }
             self.grown[kept] = id;
             kept += 1;
         }

@@ -35,29 +35,31 @@
 //! keys and lives for the whole job. A longer key goes to a per-block
 //! hash map from borrowed key to count, whose hasher (Fx, word at a
 //! time) takes no random seed, so nothing depends on process randomness.
-//! At the end of the block the map's distinct keys are copied out once,
-//! as owned strings, and appended to the job's run. The run grows to
-//! the size projected from the blocks mapped so far, not by doubling,
-//! so it is seldom copied and leaves no trail of freed buffers.
+//! At the end of the block the map's distinct keys are copied out once:
+//! their bytes to the end of the job's key arena, one string, and an
+//! entry per key, holding its offset, length and count, to the job's
+//! run. The arena and the run grow to the size projected from the blocks
+//! mapped so far, not by doubling, so they are seldom copied and leave
+//! no trail of freed buffers.
 //!
 //! # Reduce
 //!
-//! The table's keys join the run, and the run is sorted by key, most
-//! significant 8-byte digit first: entries carry their key's current
-//! big-endian digit, so most comparisons are between integers, and only
-//! a group that ties on a digit reads its keys again, for the next one.
-//! An entry is 32 bytes, the size of the `(String, u64)` pair it
-//! becomes, so the output map is built from the run's own buffer and the
-//! reduce holds no more than a run of output pairs would. Equal
-//! neighbours merge by summing their counts, and the output map is
-//! bulk-built from the sorted, unique pairs.
+//! The table's keys join the arena and the run, and the run is sorted by
+//! key, most significant 8-byte digit first: entries carry their key's
+//! current big-endian digit, so most comparisons are between integers,
+//! and only a group that ties on a digit reads its keys again, from the
+//! arena, for the next one. Equal neighbours merge by summing their
+//! counts. The output, a [`KeyCounts`], keeps the arena as it is and
+//! takes the unique entries without their digits, converted in the run's
+//! own buffer: no key is allocated on its own, and dropping an output
+//! frees two buffers.
 //!
 //! The output does not depend on hash or table order: after the merge
 //! every key appears once, and a sum of `u64` counts is the same in any
 //! order.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::grid::{GridError, MiniGrid, ReadStats};
@@ -209,7 +211,7 @@ impl TextJob for LineCount {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOutput {
     /// Key → summed count, sorted by key.
-    pub results: BTreeMap<String, u64>,
+    pub results: KeyCounts,
     /// Grid read statistics attributable to this job.
     pub stats: ReadStats,
 }
@@ -217,7 +219,100 @@ pub struct JobOutput {
 impl JobOutput {
     /// Total emitted count across all keys.
     pub fn total(&self) -> u64 {
-        self.results.values().sum()
+        self.results.total()
+    }
+}
+
+/// A key → count table sorted by key, each key once, whose keys share
+/// one string. Equality compares the pairs, and `Debug` prints them as
+/// a `BTreeMap<String, u64>` would.
+///
+/// Collecting `(key, count)` pairs sums the counts of equal keys:
+///
+/// ```
+/// use textlab::KeyCounts;
+///
+/// let counts: KeyCounts = [("b", 1), ("a", 2), ("b", 3)].into_iter().collect();
+/// assert_eq!(counts.iter().collect::<Vec<_>>(), [("a", 2), ("b", 4)]);
+/// assert_eq!(counts.get("b"), Some(4));
+/// assert_eq!(format!("{counts:?}"), r#"{"a": 2, "b": 4}"#);
+/// ```
+#[derive(Clone)]
+pub struct KeyCounts {
+    /// The keys' bytes, at the offsets the entries give. Bytes of keys
+    /// merged away stay, unreferenced.
+    keys: String,
+    /// One entry per key, in key order.
+    entries: Vec<KeyCount>,
+}
+
+/// A [`KeyCounts`] entry: its key is `keys[offset..offset + len]`.
+#[derive(Clone, Copy)]
+struct KeyCount {
+    offset: u32,
+    len: u32,
+    count: u64,
+}
+
+impl KeyCounts {
+    /// The number of distinct keys.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `(key, count)` pairs in key order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&str, u64)> + ExactSizeIterator + '_ {
+        self.entries
+            .iter()
+            .map(|entry| (self.key(entry), entry.count))
+    }
+
+    /// The count of `key`, if present.
+    pub fn get(&self, key: &str) -> Option<u64> {
+        self.entries
+            .binary_search_by(|entry| self.key(entry).cmp(key))
+            .ok()
+            .map(|i| self.entries[i].count)
+    }
+
+    /// The sum of all counts.
+    pub fn total(&self) -> u64 {
+        self.entries.iter().map(|entry| entry.count).sum()
+    }
+
+    fn key(&self, entry: &KeyCount) -> &str {
+        &self.keys[entry.offset as usize..][..entry.len as usize]
+    }
+}
+
+impl<'a> FromIterator<(&'a str, u64)> for KeyCounts {
+    /// Sums the counts of equal keys, through the same reduce as
+    /// [`run_job`].
+    fn from_iter<I: IntoIterator<Item = (&'a str, u64)>>(pairs: I) -> KeyCounts {
+        let mut reduce = Reduce::new(1);
+        for (key, count) in pairs {
+            reduce.add(key, count);
+        }
+        reduce.finish()
+    }
+}
+
+impl PartialEq for KeyCounts {
+    fn eq(&self, other: &KeyCounts) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for KeyCounts {}
+
+impl std::fmt::Debug for KeyCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -263,38 +358,36 @@ impl<'a> Combiner<'a> {
     /// Maps one record outside a valid UTF-8 run, decoded with
     /// [`String::from_utf8_lossy`]. A valid record's keys borrow it; a
     /// decoded copy's keys die with this call, so its long keys go
-    /// straight into the run, owned.
+    /// straight into the arena and the run.
     fn add_record(&mut self, job: &dyn TextJob, record: &'a [u8]) {
         match String::from_utf8_lossy(record) {
             Cow::Borrowed(line) => job.map_line(line, &mut |key, count| self.add(key, count)),
-            Cow::Owned(line) => job.map_line(&line, &mut |key, count| match ShortKey::new(
-                key.as_bytes(),
-            ) {
-                Some(short) => self.reduce.short.add(short, count),
-                None => self.reduce.run.push(Entry::new(key, count)),
-            }),
+            Cow::Owned(line) => job.map_line(&line, &mut |key, count| self.reduce.add(key, count)),
         }
     }
 
-    /// Ends the block: its long keys join the run, owned.
+    /// Ends the block: its long keys join the arena and the run.
     fn finish(self) {
         let reduce = self.reduce;
         reduce.long_distinct = self.long.len();
         reduce.mapped += 1;
+        // Grow toward the whole job's run and arena, projected from the
+        // blocks mapped so far with an eighth to spare, rather than
+        // doubling from empty: each doubling copies the buffer and
+        // leaves the old one as a hole in the heap.
+        let (blocks, mapped) = (reduce.blocks, reduce.mapped);
+        let projected = |len: usize| (len.saturating_mul(blocks) / mapped * 9 / 8).max(len);
         let len = reduce.run.len() + self.long.len();
         if len > reduce.run.capacity() {
-            // Grow toward the whole job's run, projected from the blocks
-            // mapped so far with an eighth to spare, rather than doubling
-            // from empty: each doubling copies the run and leaves the old
-            // buffer as a hole in the heap.
-            let projected = len.saturating_mul(reduce.blocks) / reduce.mapped * 9 / 8;
-            reduce.run.reserve(projected.max(len) - reduce.run.len());
+            reduce.run.reserve(projected(len) - reduce.run.len());
         }
-        reduce.run.extend(
-            self.long
-                .into_iter()
-                .map(|(key, count)| Entry::new(key, count)),
-        );
+        let len = reduce.keys.len() + self.long.keys().map(|key| key.len()).sum::<usize>();
+        if len > reduce.keys.capacity() {
+            reduce.keys.reserve(projected(len) - reduce.keys.len());
+        }
+        for (key, count) in self.long {
+            reduce.push_long(key, count);
+        }
     }
 }
 
@@ -372,13 +465,9 @@ impl ShortKey {
         (self.lo ^ self.hi.rotate_left(29) ^ self.len).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// The key's bytes, owned. They are the bytes of a `&str`, so the
-    /// lossy decode never replaces anything.
-    fn to_boxed_str(self) -> Box<str> {
-        let mut bytes = [0; 16];
-        bytes[..8].copy_from_slice(&self.lo.to_le_bytes());
-        bytes[8..].copy_from_slice(&self.hi.to_le_bytes());
-        String::from_utf8_lossy(&bytes[..self.len as usize]).into()
+    /// The key's bytes, zero-padded: the first `len` are the key.
+    fn bytes(self) -> [u8; 16] {
+        (u128::from(self.hi) << 64 | u128::from(self.lo)).to_le_bytes()
     }
 }
 
@@ -445,16 +534,29 @@ impl ShortKeys {
         }
     }
 
-    fn into_entries(self) -> impl Iterator<Item = Entry> {
-        self.slots
-            .into_iter()
-            .filter(|(key, _)| key.len != ShortKey::VACANT)
-            .map(|(key, count)| Entry {
+    /// Appends each key's bytes to `keys` and its entry to `run`.
+    fn drain_into(self, keys: &mut String, run: &mut Vec<Entry>) {
+        let occupied = || {
+            self.slots
+                .iter()
+                .filter(|(key, _)| key.len != ShortKey::VACANT)
+        };
+        keys.reserve_exact(occupied().map(|(key, _)| key.len as usize).sum());
+        run.reserve_exact(self.len);
+        for &(key, count) in occupied() {
+            // The bytes of a `&str`, so the lossy decode replaces nothing.
+            let (offset, len) = push_key(
+                keys,
+                &String::from_utf8_lossy(&key.bytes()[..key.len as usize]),
+            );
+            run.push(Entry {
                 // The key's first eight bytes, big-endian.
                 digit: key.lo.swap_bytes(),
-                key: key.to_boxed_str(),
+                offset,
+                len,
                 count,
-            })
+            });
+        }
     }
 }
 
@@ -491,23 +593,28 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// A run entry: the digit its sort compares, the key and its count.
-/// At 32 bytes it is the size of the `(String, u64)` pair it becomes,
-/// so the output map is built from the run's own buffer.
+/// A run entry: the digit its sort compares, where its key lies in the
+/// job's key arena, and its count.
 struct Entry {
     digit: u64,
-    key: Box<str>,
+    offset: u32,
+    len: u32,
     count: u64,
 }
 
 impl Entry {
-    fn new(key: &str, count: u64) -> Entry {
-        Entry {
-            digit: digit(key.as_bytes(), 0),
-            key: key.into(),
-            count,
-        }
+    /// The entry's key in `keys`, the arena.
+    fn key<'k>(&self, keys: &'k [u8]) -> &'k [u8] {
+        &keys[self.offset as usize..][..self.len as usize]
     }
+}
+
+/// Appends `key` to the arena `keys`; returns its offset and length.
+fn push_key(keys: &mut String, key: &str) -> (u32, u32) {
+    let offset = keys.len();
+    keys.push_str(key);
+    assert!(u32::try_from(keys.len()).is_ok(), "key arena outgrew 4 GiB");
+    (offset as u32, key.len() as u32)
 }
 
 /// Bytes `offset..offset + 8` of `key` as a big-endian word, zero past
@@ -533,24 +640,25 @@ const SMALL_GROUP: usize = 8;
 /// bounds its recursion.
 const MAX_DIGIT_OFFSET: usize = 64;
 
-/// Sorts `run` by key, most significant digit first. Every key in `run`
-/// agrees on its first `offset` bytes, and each entry's digit is its
-/// key's [`digit`] at `offset`. The sort orders by digit; each group of
-/// equal digits then gets its next digit and is sorted again. Only a
-/// small group, or one whose keys share a long prefix, compares keys.
-fn sort_run(run: &mut [Entry], offset: usize) {
+/// Sorts `run`, whose keys lie in the arena `keys`, by key, most
+/// significant digit first. Every key in `run` agrees on its first
+/// `offset` bytes, and each entry's digit is its key's [`digit`] at
+/// `offset`. The sort orders by digit; each group of equal digits then
+/// gets its next digit and is sorted again. Only a small group, or one
+/// whose keys share a long prefix, compares keys.
+fn sort_run(run: &mut [Entry], keys: &[u8], offset: usize) {
     run.sort_unstable_by_key(|entry| entry.digit);
     for group in run.chunk_by_mut(|a, b| a.digit == b.digit) {
         if group.len() < 2 {
             continue;
         }
         if group.len() <= SMALL_GROUP || offset + 8 >= MAX_DIGIT_OFFSET {
-            group.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+            group.sort_unstable_by(|a, b| a.key(keys).cmp(b.key(keys)));
         } else {
             for entry in group.iter_mut() {
-                entry.digit = digit(entry.key.as_bytes(), offset + 8);
+                entry.digit = digit(entry.key(keys), offset + 8);
             }
-            sort_run(group, offset + 8);
+            sort_run(group, keys, offset + 8);
         }
     }
 }
@@ -558,7 +666,10 @@ fn sort_run(run: &mut [Entry], offset: usize) {
 /// A job's reduce state across blocks.
 struct Reduce {
     short: ShortKeys,
-    /// Every block's long keys, owned.
+    /// The key arena: every block's long keys, back to back, and at the
+    /// end the short keys.
+    keys: String,
+    /// An entry per block and long key.
     run: Vec<Entry>,
     /// The last block's count of distinct long keys, to size the next
     /// block's map.
@@ -572,6 +683,7 @@ impl Reduce {
     fn new(blocks: usize) -> Reduce {
         Reduce {
             short: ShortKeys::new(),
+            keys: String::new(),
             run: Vec::new(),
             long_distinct: 0,
             blocks,
@@ -579,22 +691,55 @@ impl Reduce {
         }
     }
 
+    /// Adds `count` to `key`, which outlives no block: a short key goes
+    /// to the table, a long one to the arena and the run.
+    fn add(&mut self, key: &str, count: u64) {
+        match ShortKey::new(key.as_bytes()) {
+            Some(short) => self.short.add(short, count),
+            None => self.push_long(key, count),
+        }
+    }
+
+    /// Appends a long key to the arena and its entry to the run.
+    fn push_long(&mut self, key: &str, count: u64) {
+        let (offset, len) = push_key(&mut self.keys, key);
+        self.run.push(Entry {
+            digit: digit(key.as_bytes(), 0),
+            offset,
+            len,
+            count,
+        });
+    }
+
     /// Sorts the run and the table's keys together, merges equal keys
-    /// and builds the output from the sorted, unique pairs.
-    fn finish(self) -> BTreeMap<String, u64> {
-        let mut run = self.run;
-        run.extend(self.short.into_entries());
-        sort_run(&mut run, 0);
+    /// and turns the sorted, unique entries into the output in place.
+    fn finish(self) -> KeyCounts {
+        let Reduce {
+            short,
+            mut keys,
+            mut run,
+            ..
+        } = self;
+        short.drain_into(&mut keys, &mut run);
+        sort_run(&mut run, keys.as_bytes(), 0);
         run.dedup_by(|next, kept| {
-            let same = next.key == kept.key;
+            let same = next.key(keys.as_bytes()) == kept.key(keys.as_bytes());
             if same {
                 kept.count += next.count;
             }
             same
         });
-        run.into_iter()
-            .map(|entry| (entry.key.into_string(), entry.count))
-            .collect()
+        // An `Entry` is as aligned as a `KeyCount` and larger, so this
+        // collect reuses the run's buffer.
+        let entries = run
+            .into_iter()
+            .map(|entry| KeyCount {
+                offset: entry.offset,
+                len: entry.len,
+                count: entry.count,
+            })
+            .collect();
+        KeyCounts { keys, entries }
     }
 }
 
@@ -728,6 +873,7 @@ mod tests {
     use crate::corpus::CorpusBuilder;
     use cluster::{NodeId, Topology};
     use erasure::CodeParams;
+    use std::collections::BTreeMap;
 
     fn make_grid(text: &[u8], block: usize) -> MiniGrid {
         let topo = Topology::homogeneous(2, 3, 2, 1);
@@ -739,10 +885,11 @@ mod tests {
         let text = b"the whale the sea\nthe captain\n".to_vec();
         let mut grid = make_grid(&text, 8); // tiny blocks force splits
         let out = run_job(&mut grid, &WordCount).unwrap();
-        assert_eq!(out.results.get("the"), Some(&3));
-        assert_eq!(out.results.get("whale"), Some(&1));
-        assert_eq!(out.results.get("sea"), Some(&1));
-        assert_eq!(out.results.get("captain"), Some(&1));
+        assert_eq!(out.results.get("the"), Some(3));
+        assert_eq!(out.results.get("whale"), Some(1));
+        assert_eq!(out.results.get("sea"), Some(1));
+        assert_eq!(out.results.get("captain"), Some(1));
+        assert_eq!(out.results.get("ship"), None);
         assert_eq!(out.total(), 6);
     }
 
@@ -764,7 +911,12 @@ mod tests {
         for block in [7, 64, 333, 1024, 4096] {
             let mut grid = make_grid(&text, block);
             let out = run_job(&mut grid, &WordCount).unwrap();
-            assert_eq!(out.results, oracle, "block size {block}");
+            assert!(
+                out.results
+                    .iter()
+                    .eq(oracle.iter().map(|(k, &c)| (k.as_str(), c))),
+                "block size {block}"
+            );
         }
     }
 
@@ -774,8 +926,8 @@ mod tests {
         let mut grid = make_grid(&text, 16);
         let out = run_job(&mut grid, &Grep::new("whale")).unwrap();
         assert_eq!(out.results.len(), 2);
-        assert!(out.results.contains_key("the whale swims"));
-        assert!(out.results.contains_key("whale again"));
+        assert_eq!(out.results.get("the whale swims"), Some(1));
+        assert_eq!(out.results.get("whale again"), Some(1));
     }
 
     #[test]
@@ -783,8 +935,8 @@ mod tests {
         let text = b"alpha\nbeta\nalpha\n".to_vec();
         let mut grid = make_grid(&text, 4);
         let out = run_job(&mut grid, &LineCount).unwrap();
-        assert_eq!(out.results.get("alpha"), Some(&2));
-        assert_eq!(out.results.get("beta"), Some(&1));
+        assert_eq!(out.results.get("alpha"), Some(2));
+        assert_eq!(out.results.get("beta"), Some(1));
     }
 
     #[test]
@@ -826,12 +978,31 @@ mod tests {
             keys.push(format!("{long}\0{i}"));
         }
         keys.reverse();
-        let mut run: Vec<Entry> = keys.iter().map(|key| Entry::new(key, 1)).collect();
-        sort_run(&mut run, 0);
-        let sorted: Vec<&str> = run.iter().map(|entry| &*entry.key).collect();
-        let mut want: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let mut reduce = Reduce::new(1);
+        for key in &keys {
+            reduce.push_long(key, 1);
+        }
+        sort_run(&mut reduce.run, reduce.keys.as_bytes(), 0);
+        let sorted: Vec<&[u8]> = reduce
+            .run
+            .iter()
+            .map(|entry| entry.key(reduce.keys.as_bytes()))
+            .collect();
+        let mut want: Vec<&[u8]> = keys.iter().map(String::as_bytes).collect();
         want.sort_unstable();
         assert_eq!(sorted, want);
+    }
+
+    #[test]
+    fn output_entries_fit_in_run_entries() {
+        // `Reduce::finish` collects the output entries in the run's
+        // buffer, which needs equal alignment and no larger size.
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        assert_eq!(std::mem::size_of::<KeyCount>(), 16);
+        assert_eq!(
+            std::mem::align_of::<Entry>(),
+            std::mem::align_of::<KeyCount>()
+        );
     }
 
     #[test]
@@ -844,7 +1015,7 @@ mod tests {
                 let packed = ShortKey::new(key).unwrap();
                 let window = text[start..].first_chunk::<16>().unwrap();
                 assert_eq!(ShortKey::from_window(window, len), packed, "{key:?}");
-                assert_eq!(packed.to_boxed_str().as_bytes(), key);
+                assert_eq!(&packed.bytes()[..len], key);
                 seen.insert((packed.lo, packed.hi, packed.len));
             }
         }

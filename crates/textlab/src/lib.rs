@@ -15,7 +15,7 @@
 //!   decoding them;
 //! * [`jobs`] implements the three workloads as real map/reduce functions
 //!   over bytes, with Hadoop-style record splitting across block
-//!   boundaries.
+//!   boundaries, and reduces each into a [`KeyCounts`] table.
 //!
 //! # Example
 //!
@@ -34,6 +34,7 @@
 //! grid.fail_node(cluster::NodeId(0));
 //! let degraded = run_job(&mut grid, &WordCount).unwrap();
 //! assert_eq!(healthy.results, degraded.results); // bit-identical output
+//! assert!(healthy.results.get("the").is_some_and(|count| count > 0));
 //! assert!(degraded.stats.degraded_reads > 0);
 //! ```
 
@@ -43,4 +44,4 @@ pub mod jobs;
 
 pub use corpus::CorpusBuilder;
 pub use grid::{GridError, MiniGrid, ReadStats};
-pub use jobs::{run_job, Combiner, Grep, JobOutput, LineCount, TextJob, WordCount};
+pub use jobs::{run_job, Combiner, Grep, JobOutput, KeyCounts, LineCount, TextJob, WordCount};

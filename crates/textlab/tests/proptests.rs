@@ -7,7 +7,7 @@ use cluster::{NodeId, Topology};
 use erasure::CodeParams;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use textlab::{run_job, Grep, LineCount, MiniGrid, TextJob, WordCount};
+use textlab::{run_job, Grep, KeyCounts, LineCount, MiniGrid, TextJob, WordCount};
 
 fn corpus() -> impl Strategy<Value = Vec<u8>> {
     // Arbitrary printable-ish text with whitespace and newlines,
@@ -97,6 +97,27 @@ fn count<'a>(keys: impl Iterator<Item = &'a str>) -> BTreeMap<String, u64> {
     counts
 }
 
+/// A job's output as the map the oracles build.
+fn map(counts: &KeyCounts) -> BTreeMap<String, u64> {
+    counts
+        .iter()
+        .map(|(key, count)| (key.to_string(), count))
+        .collect()
+}
+
+/// Keys on both sides of the 16-byte short-key limit and of 8-byte
+/// digits, with shared prefixes, trailing NULs and multi-byte UTF-8.
+fn key() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        4 => prop_oneof![Just("a"), Just("b"), Just("z")],
+        1 => Just("\0"),
+        1 => Just("\u{e9}"),
+        1 => Just("\u{1d11e}"),
+        1 => Just("sixteen byte pre"),
+    ];
+    proptest::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
+}
+
 proptest! {
     #[test]
     fn record_splitting_is_exact_over_arbitrary_bytes(
@@ -120,18 +141,18 @@ proptest! {
         let records = oracle_records(&text);
         let wc = run_job(&mut grid, &WordCount).unwrap();
         prop_assert_eq!(
-            wc.results,
+            map(&wc.results),
             count(records.iter().flat_map(|r| r.split_whitespace()))
         );
         let lc = run_job(&mut grid, &LineCount).unwrap();
-        prop_assert_eq!(lc.results, count(records.iter().map(String::as_str)));
+        prop_assert_eq!(map(&lc.results), count(records.iter().map(String::as_str)));
         // A multi-byte needle, ASCII ones that end in the same byte they
         // start with or overlap themselves, and the ones no line can hold
         // (a newline) or every line holds (empty).
         for needle in ["\u{e9}", "aza", "zz", "a b", "pre\n", ""] {
             let grep = run_job(&mut grid, &Grep::new(needle)).unwrap();
             prop_assert_eq!(
-                grep.results,
+                map(&grep.results),
                 count(records.iter().map(String::as_str).filter(|r| r.contains(needle)))
             );
         }
@@ -157,9 +178,9 @@ proptest! {
             grid.fail_node(NodeId(f));
         }
         let wc = run_job(&mut grid, &WordCount).unwrap();
-        prop_assert_eq!(wc.results, oracle_wordcount(&text));
+        prop_assert_eq!(map(&wc.results), oracle_wordcount(&text));
         let lc = run_job(&mut grid, &LineCount).unwrap();
-        prop_assert_eq!(lc.results, oracle_linecount(&text));
+        prop_assert_eq!(map(&lc.results), oracle_linecount(&text));
     }
 
     #[test]
@@ -208,6 +229,32 @@ proptest! {
             grid.fail_node(NodeId(f));
         }
         prop_assert_eq!(grid.read_file().unwrap(), bytes);
+    }
+
+    #[test]
+    fn key_counts_match_a_btree_map(
+        pairs in proptest::collection::vec((key(), 0u64..1 << 40), 0..300),
+        absent in proptest::collection::vec(key(), 0..20),
+    ) {
+        let counts: KeyCounts = pairs.iter().map(|(k, c)| (k.as_str(), *c)).collect();
+        let mut oracle: BTreeMap<String, u64> = BTreeMap::new();
+        for (key, count) in &pairs {
+            *oracle.entry(key.clone()).or_default() += count;
+        }
+        prop_assert!(counts.iter().eq(oracle.iter().map(|(k, &c)| (k.as_str(), c))));
+        prop_assert!(counts.iter().rev().eq(oracle.iter().rev().map(|(k, &c)| (k.as_str(), c))));
+        prop_assert_eq!(counts.len(), oracle.len());
+        prop_assert_eq!(counts.is_empty(), oracle.is_empty());
+        for key in oracle.keys().chain(&absent) {
+            prop_assert_eq!(counts.get(key), oracle.get(key).copied());
+        }
+        prop_assert_eq!(counts.total(), oracle.values().sum::<u64>());
+        prop_assert_eq!(format!("{counts:?}"), format!("{oracle:?}"));
+        prop_assert_eq!(format!("{counts:#?}"), format!("{oracle:#?}"));
+        // Equality is on the pairs, not on how the keys were laid out.
+        let reversed: KeyCounts = pairs.iter().rev().map(|(k, c)| (k.as_str(), *c)).collect();
+        prop_assert_eq!(&reversed, &counts);
+        prop_assert_eq!(&counts.clone(), &counts);
     }
 
     #[test]

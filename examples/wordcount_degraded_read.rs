@@ -65,11 +65,11 @@ fn main() {
     let mut grid = make_grid();
     grid.fail_node(NodeId(0));
     let out = run_job(&mut grid, &WordCount).expect("wordcount");
-    let mut top: Vec<(&String, &u64)> = out.results.iter().collect();
-    top.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+    let mut top: Vec<(&str, u64)> = out.results.iter().collect();
+    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     let mut head = Table::new(&["word", "count"]);
     for (word, count) in top.into_iter().take(10) {
-        head.row(&[word.clone(), count.to_string()]);
+        head.row(&[word.to_string(), count.to_string()]);
     }
     head.print("top-10 words (reconstructed data)");
 }
