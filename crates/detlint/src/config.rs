@@ -94,10 +94,11 @@ impl Default for Config {
             // reference path and proptests pin their output. Nothing
             // else in the workspace — gf256.rs included, now that its
             // kernels moved under simd/ — may contain `unsafe`, except
-            // the one test whose counting global allocator (an unsafe
-            // trait) forwards every call to `System`.
+            // the two tests whose counting global allocators (an unsafe
+            // trait) forward every call to `System`.
             unsafe_allow_files: vec![
                 "crates/erasure/src/simd/".to_string(),
+                "crates/ecstore/tests/allocations.rs".to_string(),
                 "crates/textlab/tests/allocations.rs".to_string(),
             ],
             trace_event_kinds: schema_event_kinds(TRACE_SCHEMA_V1),

@@ -111,24 +111,33 @@ impl PlacementPolicy for RackAwarePlacement {
         if n > racks * parity {
             return Err(PlacementError::RackConstraintUnsatisfiable { n, parity, racks });
         }
-        // Per-rack quota must also respect rack sizes.
-        let rack_sizes = topo.rack_sizes();
+        // A rack takes at most `parity` blocks of a stripe, and no more
+        // than it has nodes.
+        let caps: Vec<usize> = topo
+            .rack_sizes()
+            .into_iter()
+            .map(|size| parity.min(size))
+            .collect();
         let mut load = vec![0usize; topo.num_nodes()];
         // Native blocks are balanced separately: the analysis and the
         // simulation both assume each node stores F/N natives.
         let mut native_load = vec![0usize; topo.num_nodes()];
         let k = layout.params().k();
         let mut map = Vec::with_capacity(layout.num_blocks());
-        // Per-rack scratch, reused by every stripe.
+        // Scratch reused by every stripe.
+        let mut quota = vec![0usize; racks];
+        let mut rack_order: Vec<usize> = Vec::with_capacity(racks);
         let mut members: Vec<NodeId> = Vec::new();
-        let mut picked: Vec<(usize, usize)> = Vec::new();
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
         for _stripe in 0..layout.num_stripes() {
             // Distribute n slots across racks: start with an even spread,
             // then push the remainder to randomly-ordered racks, never
-            // exceeding min(parity, rack size).
-            let mut quota = vec![0usize; racks];
+            // exceeding a rack's cap. The shuffle permutes its input, so
+            // it starts from `0..racks` every stripe.
+            quota.fill(0);
             let mut remaining = n;
-            let mut rack_order: Vec<usize> = (0..racks).collect();
+            rack_order.clear();
+            rack_order.extend(0..racks);
             rng.shuffle(&mut rack_order);
             // Round-robin fill in random rack order.
             'fill: loop {
@@ -136,24 +145,20 @@ impl PlacementPolicy for RackAwarePlacement {
                     if remaining == 0 {
                         break 'fill;
                     }
-                    if quota[r] < parity.min(rack_sizes[r]) {
+                    if quota[r] < caps[r] {
                         quota[r] += 1;
                         remaining -= 1;
                     }
                 }
                 // If a full pass made no progress the constraint is
                 // unsatisfiable for these rack sizes.
-                if remaining > 0
-                    && rack_order
-                        .iter()
-                        .all(|&r| quota[r] >= parity.min(rack_sizes[r]))
-                {
+                if remaining > 0 && quota.iter().zip(&caps).all(|(q, cap)| q >= cap) {
                     return Err(PlacementError::RackConstraintUnsatisfiable { n, parity, racks });
                 }
             }
             // Pick the least-loaded nodes in each rack (random tie-break),
             // then shuffle which stripe position goes to which node.
-            let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
+            chosen.clear();
             for (r, &rack_quota) in quota.iter().enumerate() {
                 if rack_quota == 0 {
                     continue;
@@ -161,23 +166,9 @@ impl PlacementPolicy for RackAwarePlacement {
                 members.clear();
                 members.extend_from_slice(topo.nodes_in_rack(cluster::RackId(r as u32)));
                 rng.shuffle(&mut members);
-                // The `rack_quota` least (load, shuffled position) keys in
-                // order: the first `rack_quota` of a stable sort by load.
-                picked.clear();
-                for (pos, m) in members.iter().enumerate() {
-                    let key = (load[m.index()], pos);
-                    if picked.len() == rack_quota {
-                        if picked.last().is_some_and(|&last| last < key) {
-                            continue;
-                        }
-                        picked.pop();
-                    }
-                    let at = picked.partition_point(|&k| k < key);
-                    picked.insert(at, key);
-                }
-                for &(_, pos) in &picked {
-                    let m = members[pos];
-                    chosen.push(m);
+                let start = chosen.len();
+                pick_least_loaded(&members, &load, rack_quota, &mut chosen);
+                for m in &chosen[start..] {
                     load[m.index()] += 1;
                 }
             }
@@ -186,17 +177,45 @@ impl PlacementPolicy for RackAwarePlacement {
             // natives so far (random tie-break), parity to the rest.
             rng.shuffle(&mut chosen);
             chosen.sort_by_key(|m| native_load[m.index()]);
-            let mut natives = chosen[..k].to_vec();
-            let mut parities = chosen[k..].to_vec();
-            for m in &natives {
+            let (natives, parities) = chosen.split_at_mut(k);
+            for m in natives.iter() {
                 native_load[m.index()] += 1;
             }
-            rng.shuffle(&mut natives);
-            rng.shuffle(&mut parities);
-            natives.extend(parities);
-            map.extend(natives);
+            rng.shuffle(natives);
+            rng.shuffle(parities);
+            map.extend_from_slice(&chosen);
         }
         Ok(map)
+    }
+}
+
+/// Appends the `quota` least-loaded `members` to `chosen`, ties in
+/// `members` order: the first `quota` of a stable sort by load. It takes
+/// every member at the lowest load, then, only while the quota is unmet,
+/// every member at the next load up, so a pass touches no more levels
+/// than the quota needs.
+fn pick_least_loaded(members: &[NodeId], load: &[usize], quota: usize, chosen: &mut Vec<NodeId>) {
+    debug_assert!(
+        quota <= members.len(),
+        "quota {quota} over {} members",
+        members.len()
+    );
+    let goal = chosen.len() + quota;
+    let mut level = members.iter().map(|m| load[m.index()]).min().unwrap_or(0);
+    while chosen.len() < goal {
+        let mut next = usize::MAX;
+        for &m in members {
+            let at = load[m.index()];
+            if at == level {
+                chosen.push(m);
+                if chosen.len() == goal {
+                    return;
+                }
+            } else if at > level {
+                next = next.min(at);
+            }
+        }
+        level = next;
     }
 }
 
@@ -340,6 +359,40 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let map = RackAwarePlacement.place(&topo, &layout, &mut rng).unwrap();
         check_constraints(&topo, &layout, &map);
+    }
+
+    /// Picks `quota` of nodes `0..load.len()` listed in `order`.
+    fn pick(order: &[u32], load: &[usize], quota: usize) -> Vec<u32> {
+        let members: Vec<NodeId> = order.iter().map(|&i| NodeId(i)).collect();
+        let mut chosen = vec![NodeId(99)];
+        pick_least_loaded(&members, load, quota, &mut chosen);
+        assert_eq!(chosen.remove(0), NodeId(99), "earlier picks kept");
+        chosen.iter().map(|m| m.0).collect()
+    }
+
+    #[test]
+    fn quota_filled_from_one_load_level() {
+        // Three members at the least load 1: the first two in member
+        // order, whatever their ids.
+        let load = [2, 1, 3, 1, 1];
+        assert_eq!(pick(&[4, 0, 3, 2, 1], &load, 2), vec![4, 3]);
+        // A quota equal to the level's size takes the whole level.
+        assert_eq!(pick(&[4, 0, 3, 2, 1], &load, 3), vec![4, 3, 1]);
+    }
+
+    #[test]
+    fn quota_filled_from_two_load_levels() {
+        // One member at load 1, then the load-2 members in member order;
+        // the load-4 member is never reached.
+        let load = [2, 4, 2, 1, 2];
+        assert_eq!(pick(&[2, 1, 0, 3, 4], &load, 3), vec![3, 2, 0]);
+        // A gap between levels: after load 0 comes load 5, skipping
+        // no level that exists.
+        let load = [5, 0, 7, 5];
+        assert_eq!(pick(&[3, 2, 1, 0], &load, 2), vec![1, 3]);
+        // Every member, sorted by load with ties in member order.
+        let load = [1, 0, 1, 0];
+        assert_eq!(pick(&[2, 0, 1, 3], &load, 4), vec![1, 3, 2, 0]);
     }
 
     #[test]

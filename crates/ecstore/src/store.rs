@@ -16,8 +16,11 @@ pub struct BlockStore {
     layout: StripeLayout,
     /// Block → node, indexed by [`StripeLayout::global_index`].
     node_of: Vec<NodeId>,
-    /// Node → native blocks stored there (dense per node index).
-    natives_on: Vec<Vec<BlockRef>>,
+    /// Every native block, grouped by holder in node order and in
+    /// layout order within a holder.
+    natives: Vec<BlockRef>,
+    /// Node `i`'s natives are `natives[native_start[i]..native_start[i + 1]]`.
+    native_start: Vec<usize>,
 }
 
 impl BlockStore {
@@ -34,15 +37,27 @@ impl BlockStore {
     ) -> Result<BlockStore, PlacementError> {
         let node_of = policy.place(topo, &layout, rng)?;
         debug_assert_eq!(node_of.len(), layout.num_blocks());
-        let mut natives_on = vec![Vec::new(); topo.num_nodes()];
+        // A counting sort by holder: count, prefix-sum, then fill each
+        // holder's run in layout order.
+        let mut native_start = vec![0usize; topo.num_nodes() + 1];
         for block in layout.native_blocks() {
-            let node = node_of[layout.global_index(block)];
-            natives_on[node.index()].push(block);
+            native_start[node_of[layout.global_index(block)].index() + 1] += 1;
+        }
+        for i in 1..native_start.len() {
+            native_start[i] += native_start[i - 1];
+        }
+        let mut next = native_start[..topo.num_nodes()].to_vec();
+        let mut natives = vec![BlockRef::default(); layout.num_native()];
+        for block in layout.native_blocks() {
+            let slot = &mut next[node_of[layout.global_index(block)].index()];
+            natives[*slot] = block;
+            *slot += 1;
         }
         Ok(BlockStore {
             layout,
             node_of,
-            natives_on,
+            natives,
+            native_start,
         })
     }
 
@@ -66,7 +81,8 @@ impl BlockStore {
     ///
     /// Panics on an unknown node.
     pub fn natives_on(&self, node: NodeId) -> &[BlockRef] {
-        &self.natives_on[node.index()]
+        let i = node.index();
+        &self.natives[self.native_start[i]..self.native_start[i + 1]]
     }
 
     /// Native blocks whose holders have failed — exactly the inputs of
@@ -91,16 +107,22 @@ impl BlockStore {
 
     /// True if the stripe still has at least `k` surviving blocks.
     pub fn is_recoverable(&self, stripe: StripeId, state: &ClusterState) -> bool {
-        self.survivors_of(stripe, state).len() >= self.layout.params().k()
+        let n = self.layout.params().n();
+        let start = stripe.index() * n;
+        let alive = self.node_of[start..start + n]
+            .iter()
+            .filter(|&&node| state.is_alive(node))
+            .count();
+        alive >= self.layout.params().k()
     }
 
     /// Per-node count of stored native blocks (diagnostics / balance
     /// assertions in tests and benches).
     pub fn native_load(&self) -> BTreeMap<NodeId, usize> {
-        self.natives_on
-            .iter()
+        self.native_start
+            .windows(2)
             .enumerate()
-            .map(|(i, blocks)| (NodeId(i as u32), blocks.len()))
+            .map(|(i, run)| (NodeId(i as u32), run[1] - run[0]))
             .collect()
     }
 }

@@ -442,11 +442,6 @@ impl<T> Network<T> {
         self.num_racks
     }
 
-    /// Number of currently active flows.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Every active flow's id and tag, in no particular order.
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, &T)> {
         self.flows.iter().map(|flow| (flow.id, &flow.tag))
@@ -812,7 +807,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!((secs(done) - 10.74).abs() < 0.01, "{}", secs(done));
         assert_eq!(net.drain_finished(done).len(), 1);
-        assert_eq!(net.active_flows(), 0);
+        assert_eq!(net.flows().count(), 0);
     }
 
     #[test]
@@ -1405,7 +1400,7 @@ mod batch_tests {
     fn empty_batch_is_noop() {
         let mut net = Network::new(&[1, 1], NetConfig::gigabit());
         assert!(net.start_flows(SimTime::ZERO, &[]).is_empty());
-        assert_eq!(net.active_flows(), 0);
+        assert_eq!(net.flows().count(), 0);
         assert_eq!(net.next_completion(), None);
         assert_eq!(net.reallocations(), 0);
     }

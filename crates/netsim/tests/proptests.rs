@@ -612,7 +612,7 @@ proptest! {
             prop_assert!(guard < 10_000, "network failed to converge");
         }
         prop_assert_eq!(finished, started);
-        prop_assert_eq!(net.active_flows(), 0);
+        prop_assert_eq!(net.flows().count(), 0);
     }
 
     #[test]
@@ -823,7 +823,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(net.clone().next_completion(), model.next_completion());
-            prop_assert_eq!(net.active_flows(), model.flows.len());
+            prop_assert_eq!(net.flows().count(), model.flows.len());
             let mut live: Vec<(FlowId, String)> =
                 net.flows().map(|(id, tag)| (id, tag.clone())).collect();
             let order: Vec<FlowId> = live.iter().map(|(id, _)| *id).collect();
